@@ -239,7 +239,7 @@ def test_smoke_1k_requests_p99_bounded(designed):
     rng = np.random.default_rng(11)
     payloads = _request_payloads(archive, SMOKE_REQUESTS, rng)
     service = RepairService(plan)
-    with BackgroundServer(service, max_batch=32, max_wait=0.002) as bg:
+    with BackgroundServer(service, max_batch=32) as bg:
         _drive(bg.url, payloads[:50], N_CLIENTS)  # warm-up
         latencies, _, errors = _drive(bg.url, payloads, N_CLIENTS)
         # Spot-check bit-identity through the full HTTP + batching path.

@@ -220,11 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bound on hot per-(u,s,k) repair kernels "
                             "kept in the LRU cache")
     serve.add_argument("--max-batch", type=int, default=32,
-                       help="flush a micro-batch at this many pending "
-                            "requests")
-    serve.add_argument("--max-wait", type=float, default=0.002,
-                       help="seconds a request may wait for batch "
-                            "companions before a flush")
+                       help="cap on the requests one merged dispatch "
+                            "carries; requests are merged only when "
+                            "they queue behind a running dispatch")
 
     repair = commands.add_parser(
         "repair", help="repair an archival CSV with saved plans")
@@ -367,7 +365,7 @@ def _run_serve(args) -> int:
                workers=args.workers, mmap=not args.no_mmap,
                max_shards=args.max_shards, rounding=args.rounding,
                output=args.output, cache_size=args.cache_size,
-               max_batch=args.max_batch, max_wait=args.max_wait)
+               max_batch=args.max_batch)
     return 0
 
 

@@ -10,7 +10,8 @@ keeps a designed plan warm behind an HTTP interface:
   ``repair_dataset`` path.
 - :class:`~repro.serve.cache.LRUCache` /
   :class:`~repro.serve.batcher.MicroBatcher` — the bounded-memory and
-  request-coalescing primitives.
+  request-combining primitives: a lone request is dispatched at once,
+  and only requests that queue behind a running dispatch are merged.
 - :func:`~repro.serve.server.serve` /
   :class:`~repro.serve.server.BackgroundServer` — the stdlib HTTP
   front (``repro serve`` CLI, and the in-process variant for tests).

@@ -1,19 +1,22 @@
-"""Micro-batching of concurrent repair requests.
+"""Request combining for concurrent repair requests.
 
 A burst of single-row HTTP requests would naively cost one vectorised
 dispatch *each*; since Algorithm 2's per-cell kernel is element-wise,
-requests arriving together can share one dispatch per ``(u, s, k)``
-cell instead.  :class:`MicroBatcher` is the collector: submitting
-threads pool their items and one of them flushes the whole batch —
-when it grows to ``max_batch`` items (flush-on-size) or when the
-oldest item has waited ``max_wait`` seconds (flush-on-timeout).
+requests that are in flight together can share one dispatch per
+``(u, s, k)`` cell instead.  :class:`MicroBatcher` merges them by flat
+combining (Hendler et al., SPAA 2010), with no timer and no background
+thread: whichever submitter holds the combining lock dispatches the
+oldest pending items, up to ``max_batch`` of them, on behalf of their
+owners.
 
-The design is *leaderless-thread-free*: no background flusher thread
-exists.  The first submitter of an empty queue becomes the batch's
-leader and sleeps until its deadline; any submitter that fills the
-batch flushes it immediately (waking the leader early).  A lone request
-therefore pays at most ``max_wait`` of extra latency, and a saturated
-server flushes on size alone.
+A submitter on an idle server takes the free lock at once and
+dispatches its lone item in its own thread, so it never waits for
+companions.  Requests that arrive while a dispatch is running queue up
+behind the lock, and the next holder takes them together: merging
+happens exactly when there is contention.  Every holder dispatches at
+least the oldest pending item, and a submitter leaves only once its own
+item is done, so nothing stays pending without an owner about to
+dispatch it.
 """
 
 from __future__ import annotations
@@ -48,107 +51,83 @@ class MicroBatcher:
         submitting thread (per-item failure isolation); a ``dispatch``
         that itself raises fails every item of the batch.
     max_batch:
-        Flush as soon as this many items are pending.
-    max_wait:
-        Seconds the oldest pending item may wait before a flush.
+        Cap on the items one dispatch carries.
     """
 
-    def __init__(self, dispatch, *, max_batch: int = 32,
-                 max_wait: float = 0.002) -> None:
+    def __init__(self, dispatch, *, max_batch: int = 32) -> None:
         if not isinstance(max_batch, int) or max_batch < 1:
             raise ValidationError(
                 f"max_batch must be a positive int, got {max_batch!r}")
-        if max_wait < 0:
-            raise ValidationError(
-                f"max_wait must be >= 0, got {max_wait!r}")
         self._dispatch = dispatch
         self.max_batch = max_batch
-        self.max_wait = max_wait
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()        # guards _pending + counters
+        self._combining = threading.Lock()   # held for each dispatch
         self._pending: list = []
         self.n_items = 0
         self.n_flushes = 0
         self.n_size_flushes = 0
-        self.n_timeout_flushes = 0
         self.max_batch_seen = 0
 
     def submit(self, item):
-        """Hand ``item`` to the current batch; blocks until its result.
+        """Dispatch ``item``, merged with whatever queued behind the
+        running dispatch; blocks until its result.
 
         Raises the item's per-result exception, if any.
         """
         slot = _Slot()
         with self._lock:
             self._pending.append((item, slot))
-            leader = len(self._pending) == 1
-            batch = (self._drain("size")
-                     if len(self._pending) >= self.max_batch else None)
-        if batch is not None:
-            self._run(batch)
-        elif leader:
-            slot.event.wait(self.max_wait)
-            if not slot.event.is_set():
+        while not slot.event.is_set():
+            with self._combining:
+                # A holder before us may already have served our item.
+                if slot.event.is_set():
+                    break
                 with self._lock:
-                    # Only flush if our batch was not already taken by a
-                    # size-triggered flush racing with the timeout.
-                    mine = any(entry[1] is slot for entry in self._pending)
-                    batch = self._drain("timeout") if mine else None
-                if batch is not None:
-                    self._run(batch)
-        slot.event.wait()
+                    batch = self._pending[:self.max_batch]
+                    del self._pending[:self.max_batch]
+                    self.n_flushes += 1
+                    self.n_items += len(batch)
+                    if len(batch) == self.max_batch:
+                        self.n_size_flushes += 1
+                    self.max_batch_seen = max(self.max_batch_seen,
+                                              len(batch))
+                self._run(batch)
         if slot.error is not None:
             raise slot.error
         return slot.result
 
-    def _drain(self, trigger: str) -> list:
-        """Take the whole pending list (caller holds the lock)."""
-        batch = self._pending
-        self._pending = []
-        self.n_flushes += 1
-        self.n_items += len(batch)
-        self.max_batch_seen = max(self.max_batch_seen, len(batch))
-        if trigger == "size":
-            self.n_size_flushes += 1
-        else:
-            self.n_timeout_flushes += 1
-        return batch
-
     def _run(self, batch: list) -> None:
-        """Dispatch a drained batch and deliver each slot's result."""
-        items = [item for (item, _) in batch]
+        """Dispatch a drained batch and resolve every slot in it — even
+        when the dispatch is interrupted, so no owner is left waiting."""
+        results = [RuntimeError("dispatch was interrupted")] * len(batch)
         try:
-            results = self._dispatch(items)
-            if len(results) != len(items):
+            results = self._dispatch([item for item, _ in batch])
+            if len(results) != len(batch):
                 raise RuntimeError(
                     f"dispatch returned {len(results)} results for "
-                    f"{len(items)} items")
+                    f"{len(batch)} items")
         except Exception as exc:
-            for _, slot in batch:
-                slot.error = exc
+            results = [exc] * len(batch)
+        finally:
+            for (_, slot), result in zip(batch, results):
+                if isinstance(result, Exception):
+                    slot.error = result
+                else:
+                    slot.result = result
                 slot.event.set()
-            return
-        for (_, slot), result in zip(batch, results):
-            if isinstance(result, Exception):
-                slot.error = result
-            else:
-                slot.result = result
-            slot.event.set()
-
-    def flush(self) -> None:
-        """Force-dispatch whatever is pending (shutdown convenience)."""
-        with self._lock:
-            batch = self._drain("timeout") if self._pending else None
-        if batch is not None:
-            self._run(batch)
 
     def stats(self) -> dict:
-        """Flush counters for the ``/stats`` endpoint."""
+        """Dispatch counters for the ``/stats`` endpoint.
+
+        ``size_flushes`` counts dispatches that hit the ``max_batch``
+        cap; ``timeout_flushes`` is always 0, since no dispatch waits on
+        a timer (the key stays for readers of the old counters).
+        """
         with self._lock:
             mean = (self.n_items / self.n_flushes) if self.n_flushes else 0.0
             return {"items": self.n_items, "flushes": self.n_flushes,
                     "size_flushes": self.n_size_flushes,
-                    "timeout_flushes": self.n_timeout_flushes,
+                    "timeout_flushes": 0,
                     "max_batch_seen": self.max_batch_seen,
                     "mean_batch": mean,
-                    "max_batch": self.max_batch,
-                    "max_wait_s": self.max_wait}
+                    "max_batch": self.max_batch}

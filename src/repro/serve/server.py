@@ -8,8 +8,15 @@ own :class:`~repro.serve.service.RepairService` over the same
 memory-mapped plan archive — so the plan bytes are shared through the
 page cache rather than duplicated per worker.  Handler threads funnel
 ``POST /repair`` bodies through a
-:class:`~repro.serve.batcher.MicroBatcher`, so concurrent requests
-share vectorised dispatches.
+:class:`~repro.serve.batcher.MicroBatcher`: a lone request is
+dispatched at once in its own thread, and requests that queue behind a
+running dispatch share the next one.
+
+Accepted connections set ``TCP_NODELAY``, so a keep-alive client that
+does not quick-ACK never sees the response body held back by Nagle's
+algorithm.  A ``POST`` body is read only after its ``Content-Length``
+checks out: a missing, malformed or negative length gets a 400 and one
+over :data:`MAX_BODY_BYTES` a 413, both closing the connection.
 
 Endpoints
 ---------
@@ -40,8 +47,12 @@ from ..exceptions import ReproError
 from .batcher import MicroBatcher
 from .service import RepairRequest, RepairService
 
-__all__ = ["RepairHTTPServer", "BackgroundServer", "listening_socket",
-           "serve"]
+__all__ = ["MAX_BODY_BYTES", "RepairHTTPServer", "BackgroundServer",
+           "listening_socket", "serve"]
+
+#: Largest ``POST /repair`` body read, in bytes; a longer declared
+#: ``Content-Length`` is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 64 << 20
 
 
 def listening_socket(host: str = "127.0.0.1", port: int = 0,
@@ -64,15 +75,24 @@ class _RepairHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    # Headers and body leave in two sends; without TCP_NODELAY a client
+    # that delays its ACKs stalls the body for the delayed-ACK timer.
+    disable_nagle_algorithm = True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging would swamp the benchmark loops
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _send_json(self, status: int, payload: dict, *,
+                   close: bool = False) -> None:
+        self._send_body(status, json.dumps(payload).encode("utf-8"), close)
+
+    def _send_body(self, status: int, body: bytes,
+                   close: bool = False) -> None:
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also makes the handler close the connection
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -91,8 +111,19 @@ class _RepairHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"unknown path {self.path}"})
             return
         start = time.perf_counter()
+        # The body is unread, so the stream cannot be resynchronised:
+        # every refusal here closes the connection.
+        raw = (self.headers.get("Content-Length") or "").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._send_json(400, {"error": f"bad Content-Length {raw!r}"},
+                            close=True)
+            return
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._send_json(413, {"error": f"body of {length} bytes "
+                                  f"exceeds {MAX_BODY_BYTES}"}, close=True)
+            return
         try:
-            length = int(self.headers.get("Content-Length", 0))
             payload = json.loads(self.rfile.read(length))
             request = RepairRequest.from_payload(payload)
         except (ValueError, ReproError) as exc:
@@ -106,9 +137,12 @@ class _RepairHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # dispatch bug — fail loudly, stay up
             self._send_json(500, {"error": f"internal error: {exc}"})
             return
-        self._send_json(200, {"features": repaired.tolist(),
-                              "n_rows": int(repaired.shape[0])})
+        body = json.dumps({"features": repaired.tolist(),
+                           "n_rows": int(repaired.shape[0])}).encode("utf-8")
+        # Recorded before the write: a client that holds its response
+        # must find the request counted in /stats.
         self.server.record_latency(time.perf_counter() - start)
+        self._send_body(200, body)
 
 
 class RepairHTTPServer(ThreadingHTTPServer):
@@ -123,13 +157,12 @@ class RepairHTTPServer(ThreadingHTTPServer):
 
     def __init__(self, service: RepairService, server_address=None, *,
                  sock: socket.socket | None = None, max_batch: int = 32,
-                 max_wait: float = 0.002,
                  latency_window: int = 8192) -> None:
         if sock is None and server_address is None:
             raise ValueError("need a server_address or a pre-bound sock")
         self.service = service
         self.batcher = MicroBatcher(service.repair_many,
-                                    max_batch=max_batch, max_wait=max_wait)
+                                    max_batch=max_batch)
         self.started = time.monotonic()
         self._latency_lock = threading.Lock()
         self._latencies: deque = deque(maxlen=latency_window)
@@ -172,13 +205,12 @@ class RepairHTTPServer(ThreadingHTTPServer):
 
 def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
                  max_shards, rounding: str, output: str, cache_size: int,
-                 max_batch: int, max_wait: float) -> None:
+                 max_batch: int) -> None:
     """A forked worker: own service + HTTP server on the shared socket."""
     service = RepairService.from_path(
         plan_path, mmap=mmap, max_shards=max_shards, rounding=rounding,
         output=output, cache_size=cache_size)
-    server = RepairHTTPServer(service, sock=sock, max_batch=max_batch,
-                              max_wait=max_wait)
+    server = RepairHTTPServer(service, sock=sock, max_batch=max_batch)
     try:
         server.serve_forever(poll_interval=0.1)
     except KeyboardInterrupt:
@@ -189,7 +221,7 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
           workers: int = 1, mmap: bool = True, max_shards=None,
           rounding: str = "stochastic", output: str = "sample",
           cache_size: int = 256, max_batch: int = 32,
-          max_wait: float = 0.002, announce=print) -> None:
+          announce=print) -> None:
     """Run the repair service until interrupted (the CLI entry point).
 
     ``workers=1`` serves in-process; ``workers>1`` forks that many
@@ -203,7 +235,7 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
     bound = sock.getsockname()
     options = dict(mmap=mmap, max_shards=max_shards, rounding=rounding,
                    output=output, cache_size=cache_size,
-                   max_batch=max_batch, max_wait=max_wait)
+                   max_batch=max_batch)
     if announce is not None:
         announce(f"repro serve: http://{bound[0]}:{bound[1]} "
                  f"({workers} worker{'s' if workers != 1 else ''}, "
@@ -244,10 +276,9 @@ class BackgroundServer:
     """
 
     def __init__(self, service: RepairService, *, host: str = "127.0.0.1",
-                 max_batch: int = 32, max_wait: float = 0.002) -> None:
+                 max_batch: int = 32) -> None:
         self.server = RepairHTTPServer(service, (host, 0),
-                                       max_batch=max_batch,
-                                       max_wait=max_wait)
+                                       max_batch=max_batch)
         self._thread: threading.Thread | None = None
 
     @property

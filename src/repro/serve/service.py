@@ -68,7 +68,9 @@ class RepairRequest:
         if missing:
             raise DataError(f"request body missing keys {missing}")
         seed = payload.get("seed")
-        if seed is not None and not isinstance(seed, int):
+        # JSON true/false decode to bool, which isinstance counts as int.
+        if seed is not None and (isinstance(seed, bool)
+                                 or not isinstance(seed, int)):
             raise DataError(f"seed must be an integer, got {seed!r}")
         try:
             dataset = FairnessDataset(

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
+import statistics
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ from repro.exceptions import DataError
 from repro.serve import BackgroundServer, RepairService
 from repro.serve.client import (get_json, post_json, repair_payload,
                                 repair_remote)
+from repro.serve.server import MAX_BODY_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +38,7 @@ def designed():
 def server(designed):
     plan, _ = designed
     service = RepairService(plan)
-    with BackgroundServer(service, max_batch=8, max_wait=0.01) as bg:
+    with BackgroundServer(service, max_batch=8) as bg:
         yield bg
 
 
@@ -117,28 +123,129 @@ class TestRepairEndpoint:
             post_json(server.url + "/repair", {"features": "garbage"})
 
 
+def _raw_post(url: str, headers: bytes):
+    """Send a bodiless ``POST /repair`` with ``headers`` on a raw socket
+    and read until the server closes it; a server that hangs or keeps
+    the connection open fails on the socket timeout instead."""
+    host, port = url.removeprefix("http://").rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5.0) as sock:
+        sock.sendall(b"POST /repair HTTP/1.1\r\nHost: test\r\n"
+                     + headers + b"\r\n")
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, body = received.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    fields = {name.strip().lower(): value.strip() for name, _, value
+              in (line.partition(":") for line in lines[1:])}
+    return int(lines[0].split()[1]), fields, json.loads(body)
+
+
+class TestBodyLimits:
+    @pytest.mark.parametrize("headers", [
+        b"Content-Length: -1\r\n",
+        b"Content-Length: ten\r\n",
+        b"Content-Length: 1_0\r\n",
+        b"",
+    ], ids=["negative", "non-integer", "underscored", "missing"])
+    def test_bad_content_length_is_400_and_closes(self, server, headers):
+        status, fields, body = _raw_post(server.url, headers)
+        assert status == 400
+        assert fields["connection"] == "close"
+        assert "Content-Length" in body["error"]
+        assert get_json(server.url + "/healthz")["status"] == "ok"
+
+    @pytest.mark.parametrize("length", [MAX_BODY_BYTES + 1, 99999999999])
+    def test_oversized_body_is_413_and_closes(self, server, length):
+        status, fields, body = _raw_post(
+            server.url, b"Content-Length: %d\r\n" % length)
+        assert status == 413
+        assert fields["connection"] == "close"
+        assert str(MAX_BODY_BYTES) in body["error"]
+        assert get_json(server.url + "/healthz")["status"] == "ok"
+
+
+class TestTransport:
+    def test_keepalive_client_is_not_held_by_nagle(self, designed, server):
+        # The handler sends headers and body separately and stock
+        # http.client delays its ACKs: without TCP_NODELAY on the
+        # accepted socket, Nagle holds every body back until the
+        # delayed ACK (~40 ms).
+        plan, queries = designed
+        subset = FairnessDataset(queries.features[:5], queries.s[:5],
+                                 queries.u[:5])
+        body = json.dumps(repair_payload(subset, seed=5)).encode("utf-8")
+        reference = repair_dataset(subset, plan,
+                                   rng=np.random.default_rng(5)).features
+        host, port = server.url.removeprefix("http://").rsplit(":", 1)
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        seconds = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("POST", "/repair", body,
+                                   {"Content-Type": "application/json"})
+                response = connection.getresponse()
+                answer = json.loads(response.read())
+                seconds.append(time.perf_counter() - start)
+                assert response.status == 200
+                np.testing.assert_array_equal(answer["features"], reference)
+        finally:
+            connection.close()
+        assert statistics.median(seconds) < 0.020
+
+
 class TestBatching:
-    def test_concurrent_requests_share_flushes(self, designed):
+    def test_requests_queued_behind_a_dispatch_share_the_next(self,
+                                                              designed):
         plan, queries = designed
         service = RepairService(plan)
-        # A wait generous enough that all threads join one batch.
-        with BackgroundServer(service, max_batch=64,
-                              max_wait=0.25) as server:
-            n_clients = 5
+        repair_many = service.repair_many
+        running, release = threading.Event(), threading.Event()
+        dispatched = []
+
+        def gated(requests):
+            # The first dispatch holds the combining lock until the
+            # other clients' requests are queued behind it.
+            dispatched.append(len(requests))
+            if len(dispatched) == 1:
+                running.set()
+                assert release.wait(timeout=10)
+            return repair_many(requests)
+
+        service.repair_many = gated
+        n_clients = 5
+        matches = [None] * n_clients
+        with BackgroundServer(service, max_batch=64) as server:
+            pending = server.server.batcher._pending
 
             def client(i):
                 rows = slice(i * 20, (i + 1) * 20)
                 subset = FairnessDataset(queries.features[rows],
                                          queries.s[rows], queries.u[rows])
-                repair_remote(server.url, subset, seed=i)
+                reference = repair_dataset(
+                    subset, plan, rng=np.random.default_rng(i)).features
+                got = repair_remote(server.url, subset, seed=i)
+                matches[i] = np.array_equal(got, reference)
 
-            threads = [threading.Thread(target=client, args=(i,))
+            threads = [threading.Thread(target=client, args=(i,),
+                                        daemon=True)
                        for i in range(n_clients)]
-            for thread in threads:
+            threads[0].start()
+            assert running.wait(timeout=10)
+            for thread in threads[1:]:
                 thread.start()
+            deadline = time.monotonic() + 10
+            while len(pending) < n_clients - 1:
+                assert time.monotonic() < deadline, "requests never queued"
+                time.sleep(0.001)
+            release.set()
             for thread in threads:
                 thread.join(timeout=30)
+                assert not thread.is_alive()
             stats = get_json(server.url + "/stats")
+        assert matches == [True] * n_clients
+        assert dispatched == [1, n_clients - 1]
         assert stats["batcher"]["items"] == n_clients
-        assert stats["batcher"]["flushes"] < n_clients
-        assert stats["batcher"]["max_batch_seen"] >= 2
+        assert stats["batcher"]["flushes"] == 2
+        assert stats["batcher"]["max_batch_seen"] == n_clients - 1

@@ -183,6 +183,7 @@ class TestRequestPayloads:
         ("not a dict", "JSON object"),
         ({"features": [[1.0]]}, "missing keys"),
         ({"features": [[1.0]], "s": [0], "u": [0], "seed": "x"}, "seed"),
+        ({"features": [[1.0]], "s": [0], "u": [0], "seed": True}, "seed"),
         ({"features": [[np.nan]], "s": [0], "u": [0]}, "invalid"),
         ({"features": [[1.0], [2.0]], "s": [0], "u": [0]}, "invalid"),
     ])

@@ -82,6 +82,7 @@ class TestParser:
         assert args.port == 8321
         assert args.max_batch == 32
         assert not args.no_mmap
+        assert not hasattr(args, "max_wait")  # no batching timer to set
 
     def test_experiment_choices_enforced(self):
         parser = build_parser()
