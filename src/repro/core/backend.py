@@ -46,7 +46,6 @@ True
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp as _scipy_logsumexp
 
 from ..exceptions import ValidationError
 
@@ -251,7 +250,8 @@ class NumpyBackend(ArrayBackend):
         return np.swapaxes(x, -2, -1)
 
     def logsumexp(self, x, axis=None):
-        return _scipy_logsumexp(x, axis=axis)
+        from scipy.special import logsumexp
+        return logsumexp(x, axis=axis)
 
     def exp(self, x):
         return np.exp(x)

@@ -1,10 +1,13 @@
-"""Bounded LRU caching for hot serving state.
+"""Bounded LRU caching for hot repair state.
 
 A long-lived repair service keeps per-``(u, s, k)`` sampling state warm
 — the dense row-CDF tables are ``O(n_Q²)`` each, so an unbounded cache
 over a large design would quietly eat the worker's memory.
 :class:`LRUCache` is the shared bound: capacity-limited, thread-safe,
 with the hit/miss/eviction accounting the ``/stats`` endpoint reports.
+It lives in ``core`` because :class:`~repro.core.plan.FeaturePlan`
+memoises its densified sparse CDF tables in one too, and ``core`` never
+imports :mod:`repro.serve`.
 """
 
 from __future__ import annotations

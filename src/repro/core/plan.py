@@ -22,6 +22,7 @@ from ..density.grid import InterpolationGrid
 from ..exceptions import ValidationError
 from ..ot.coupling import (TransportPlan, conditional_cumulative,
                            sample_conditional_rows)
+from .cache import LRUCache
 
 __all__ = ["FeaturePlan", "RepairPlan"]
 
@@ -85,9 +86,6 @@ class FeaturePlan:
             raise ValidationError("diagnostics must be a dict")
         object.__setattr__(self, "barycenter", bary)
         object.__setattr__(self, "_cdf_cache", {})
-        # Deferred import: ``repro.serve`` imports this module for
-        # RepairPlan, so a top-level import here would be circular.
-        from ..serve.cache import LRUCache
         object.__setattr__(self, "_sparse_cdf_cache",
                            LRUCache(_SPARSE_CDF_CACHE_SIZE))
 

@@ -18,7 +18,6 @@ for ablations and for non-1-D use.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .._validation import (as_1d_array, as_probability_vector,
                            check_positive_int, check_probability)
@@ -117,6 +116,7 @@ def sinkhorn_barycenter(cost: np.ndarray, marginals, *, weights=None,
     ablation against the closed-form 1-D construction and available for
     multi-marginal (> 2) targets.
     """
+    from scipy.special import logsumexp
     cost = np.asarray(cost, dtype=float)
     if cost.ndim != 2 or cost.shape[0] != cost.shape[1]:
         raise ValidationError("cost must be a square matrix on the shared "

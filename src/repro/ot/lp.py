@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import linprog
 
 from .._validation import as_probability_vector
 from ..exceptions import ConvergenceError, ValidationError
@@ -70,6 +69,7 @@ def _linprog_with_presolve_retry(c, a_eq, b_eq, *, what: str,
     whose feasibility is unknown) — there the retry would only double
     the cost of a legitimate failure.
     """
+    from scipy.optimize import linprog
     result = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0.0, None),
                      method="highs")
     if result.status == 2 and presolve_retry:

@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .._validation import as_probability_vector, check_positive_int
 from ..core.backend import get_backend

@@ -8,7 +8,7 @@ keeps a designed plan warm behind an HTTP interface:
   (usually memory-mapped) plan, an LRU of prepared per-cell kernels,
   and a batched ``repair_many`` that is bit-identical to the offline
   ``repair_dataset`` path.
-- :class:`~repro.serve.cache.LRUCache` /
+- :class:`~repro.core.cache.LRUCache` /
   :class:`~repro.serve.batcher.MicroBatcher` — the bounded-memory and
   request-combining primitives: a lone request is dispatched at once,
   and only requests that queue behind a running dispatch are merged.
@@ -21,8 +21,8 @@ Deliberately **not** imported from the top-level :mod:`repro` package:
 offline users shouldn't pay for ``http.server`` imports.
 """
 
+from ..core.cache import LRUCache
 from .batcher import MicroBatcher
-from .cache import LRUCache
 from .client import get_json, post_json, repair_payload, repair_remote
 from .server import (BackgroundServer, RepairHTTPServer, listening_socket,
                      serve)

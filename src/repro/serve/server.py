@@ -47,16 +47,21 @@ from ..exceptions import ReproError
 from .batcher import MicroBatcher
 from .service import RepairRequest, RepairService
 
-__all__ = ["MAX_BODY_BYTES", "RepairHTTPServer", "BackgroundServer",
-           "listening_socket", "serve"]
+__all__ = ["LISTEN_BACKLOG", "MAX_BODY_BYTES", "RepairHTTPServer",
+           "BackgroundServer", "listening_socket", "serve"]
 
 #: Largest ``POST /repair`` body read, in bytes; a longer declared
 #: ``Content-Length`` is refused with 413 before any of it is read.
 MAX_BODY_BYTES = 64 << 20
 
+#: Pending-connection queue of every listening socket, forked or
+#: in-process; socketserver's default of 5 drops the SYNs of a burst
+#: of clients connecting at once.
+LISTEN_BACKLOG = 128
+
 
 def listening_socket(host: str = "127.0.0.1", port: int = 0,
-                     backlog: int = 128) -> socket.socket:
+                     backlog: int = LISTEN_BACKLOG) -> socket.socket:
     """Create, bind and activate the shared listening socket.
 
     Done once in the parent before forking workers, so every worker
@@ -154,6 +159,7 @@ class RepairHTTPServer(ThreadingHTTPServer):
     """
 
     daemon_threads = True
+    request_queue_size = LISTEN_BACKLOG
 
     def __init__(self, service: RepairService, server_address=None, *,
                  sock: socket.socket | None = None, max_batch: int = 32,
@@ -215,6 +221,8 @@ def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
         server.serve_forever(poll_interval=0.1)
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()
 
 
 def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
@@ -241,7 +249,10 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
                  f"({workers} worker{'s' if workers != 1 else ''}, "
                  f"plan={plan_path})")
     if workers == 1:
-        _worker_loop(sock, plan_path, **options)
+        try:
+            _worker_loop(sock, plan_path, **options)
+        finally:
+            sock.close()  # also when the plan fails to load
         return
     import multiprocessing
 

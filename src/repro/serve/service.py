@@ -5,7 +5,7 @@ serve`` HTTP tier.  It wraps a loaded plan — a
 :class:`~repro.core.plan.RepairPlan` or a lazy
 :class:`~repro.core.serialize.ShardedPlanArchive` — and repairs request
 batches through :class:`~repro.core.repair.PreparedFeatureRepair`
-kernels kept hot in a bounded :class:`~repro.serve.cache.LRUCache`.
+kernels kept hot in a bounded :class:`~repro.core.cache.LRUCache`.
 
 Bit-identity with the offline path is the contract: for any request
 carrying a seed, the response equals
@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import as_rng
+from ..core.cache import LRUCache
 from ..core.plan import RepairPlan
 from ..core.repair import (OUTPUT_MODES, ROUNDING_MODES,
                            PreparedFeatureRepair)
 from ..core.serialize import ShardedPlanArchive, load_plan, _is_manifest
 from ..data.dataset import FairnessDataset
 from ..exceptions import DataError, ReproError, ValidationError
-from .cache import LRUCache
 
 __all__ = ["RepairRequest", "RepairService"]
 

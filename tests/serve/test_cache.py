@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.exceptions import ValidationError
-from repro.serve.cache import LRUCache
+from repro.core.cache import LRUCache
 
 
 class TestBasics:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import select
 import socket
 import statistics
 import threading
@@ -16,7 +17,7 @@ from repro.core.design import design_repair
 from repro.core.repair import repair_dataset
 from repro.data.dataset import FairnessDataset
 from repro.exceptions import DataError
-from repro.serve import BackgroundServer, RepairService
+from repro.serve import BackgroundServer, RepairHTTPServer, RepairService
 from repro.serve.client import (get_json, post_json, repair_payload,
                                 repair_remote)
 from repro.serve.server import MAX_BODY_BYTES
@@ -193,6 +194,31 @@ class TestTransport:
         finally:
             connection.close()
         assert statistics.median(seconds) < 0.020
+
+    def test_in_process_server_queues_a_connect_burst(self, designed):
+        # Nothing accepts, so only the listen backlog holds the
+        # handshakes: with socketserver's default of 5, six complete
+        # and the rest wait a second for their SYN retransmit.
+        plan, _ = designed
+        server = RepairHTTPServer(RepairService(plan), ("127.0.0.1", 0))
+        clients = [socket.socket() for _ in range(32)]
+        try:
+            for client in clients:
+                client.setblocking(False)
+                client.connect_ex(server.server_address[:2])
+            pending = set(clients)
+            deadline = time.monotonic() + 1.0
+            while pending and (left := deadline - time.monotonic()) > 0:
+                _, writable, _ = select.select([], list(pending), [], left)
+                pending.difference_update(writable)
+            connected = [client for client in clients
+                         if client not in pending and client.getsockopt(
+                             socket.SOL_SOCKET, socket.SO_ERROR) == 0]
+            assert len(connected) == len(clients)
+        finally:
+            for client in clients:
+                client.close()
+            server.server_close()
 
 
 class TestBatching:

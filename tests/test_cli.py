@@ -9,6 +9,7 @@ from repro.cli import (build_parser, main, read_csv_dataset,
                        write_csv_dataset)
 from repro.data.simulated import paper_simulation_spec
 from repro.exceptions import DataError
+from repro.serve import server as serve_server
 
 
 @pytest.fixture
@@ -332,6 +333,21 @@ class TestServeFlags:
                        for key in index_keys)
 
     def test_serve_missing_plan_fails_cleanly(self, tmp_path, capsys):
-        code = main(["serve", "--plan", str(tmp_path / "absent.npz")])
+        code = main(["serve", "--plan", str(tmp_path / "absent.npz"),
+                     "--port", "0"])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    def test_serve_missing_plan_closes_its_socket(self, tmp_path,
+                                                  monkeypatch):
+        opened, listening_socket = [], serve_server.listening_socket
+
+        def spy(*args, **kwargs):
+            opened.append(listening_socket(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(serve_server, "listening_socket", spy)
+        assert main(["serve", "--plan", str(tmp_path / "absent.npz"),
+                     "--port", "0"]) == 1
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1
