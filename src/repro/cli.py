@@ -27,7 +27,6 @@ from .core.serialize import load_plan, save_plan
 from .data.dataset import FairnessDataset
 from .data.schema import TableSchema
 from .exceptions import DataError, ReproError
-from .core.backend import available_backends, get_backend
 from .metrics.fairness import conditional_dependence_energy
 from .ot.registry import resolve_solver, solver_descriptions
 
@@ -157,14 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "fan-out; auto picks per solver. Batch-"
                              "kernel solvers (exact) vectorise same-"
                              "grid cells regardless of the strategy")
-    design.add_argument("--backend", default="auto",
-                        help="compute backend for the vectorised plan "
-                             "solves: auto/numpy (bit-identical "
-                             "default), torch or cupy when installed, "
-                             "array_api_strict for conformance runs; "
-                             "unknown or unavailable names fail before "
-                             "the CSV is read, and the resolved name "
-                             "is recorded in the plan metadata")
     design.add_argument("--plan-dtype", default="float64",
                         choices=("float64", "float32"),
                         help="storage dtype of the transport-plan "
@@ -239,9 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser(
         "solvers", help="list the registered OT solvers")
 
-    commands.add_parser(
-        "backends", help="list the available compute backends")
-
     return parser
 
 
@@ -276,14 +264,6 @@ def _run_experiment(args) -> int:
     else:
         from .experiments.extensions import run_monge_study
         print(run_monge_study(seed=args.seed).render())
-    return 0
-
-
-def _run_backends(args) -> int:
-    names = available_backends()
-    for name in names:
-        suffix = " (default)" if name == "numpy" else ""
-        print(f"{name}{suffix}")
     return 0
 
 
@@ -327,18 +307,16 @@ def _parse_solver_opts(pairs) -> dict:
 
 
 def _run_design(args) -> int:
-    # Resolve the solver, the backend and the options eagerly so a typo
-    # fails before the CSV is even read, with the available names.
+    # Resolve the solver and the options eagerly so a typo fails before
+    # the CSV is even read, with the available names.
     resolve_solver(args.solver)
-    get_backend(args.backend)
     solver_opts = _parse_solver_opts(args.solver_opts)
     research = read_csv_dataset(args.research_csv)
     repairer = DistributionalRepairer(
         n_states=args.n_states, t=args.t, solver=args.solver,
         solver_opts=solver_opts,
         marginal_estimator=args.marginal_estimator, n_jobs=args.n_jobs,
-        executor=args.executor, backend=args.backend,
-        sparse_plans=args.sparse_plans)
+        executor=args.executor, sparse_plans=args.sparse_plans)
     repairer.fit(research)
     shard_by = args.plan_shard
     if shard_by is not None and shard_by.lstrip("-").isdigit():
@@ -351,8 +329,7 @@ def _run_design(args) -> int:
     print(f"designed {len(repairer.plan.feature_plans)} feature plans "
           f"({n_sparse} sparse transports, "
           f"{metadata.get('n_batched_solves', 0)} batched solves, "
-          f"executor {metadata.get('executor', 'serial')}, "
-          f"backend {metadata.get('backend', 'numpy')}) on "
+          f"executor {metadata.get('executor', 'serial')}) on "
           f"{len(research)} research rows -> {written}")
     return 0
 
@@ -400,7 +377,6 @@ def main(argv=None) -> int:
         "repair": _run_repair,
         "evaluate": _run_evaluate,
         "solvers": _run_solvers,
-        "backends": _run_backends,
     }
     try:
         return handlers[args.command](args)

@@ -1,10 +1,8 @@
 """Core contribution: distributional OT repair (Algorithms 1 & 2) and
 baselines."""
 
-from .backend import (BACKEND_NAMES, ArrayBackend, ArrayAPIBackend,
-                      CupyBackend, NumpyBackend, TorchBackend,
-                      available_backends, get_backend,
-                      register_array_backend)
+from .backend import (ArrayBackend, ArrayAPIBackend, NumpyBackend,
+                      get_backend)
 from .design import SOLVERS, design_feature_plan, design_repair
 from .diagnostics import CellDiagnostic, DriftMonitor, DriftReport
 from .executor import (EXECUTOR_NAMES, Executor, ProcessExecutor,
@@ -23,14 +21,12 @@ from .repair import (DistributionalRepairer, repair_dataset,
                      repair_feature_values)
 
 __all__ = [
-    "BACKEND_NAMES",
     "EXECUTOR_NAMES",
     "PLAN_DTYPES",
     "SOLVERS",
     "ArrayAPIBackend",
     "ArrayBackend",
     "CellDiagnostic",
-    "CupyBackend",
     "DistributionalRepairer",
     "DriftMonitor",
     "DriftReport",
@@ -52,8 +48,6 @@ __all__ = [
     "SerialExecutor",
     "SubgroupLabelModel",
     "ThreadExecutor",
-    "TorchBackend",
-    "available_backends",
     "dampen_repair",
     "design_feature_plan",
     "design_joint_repair",
@@ -63,7 +57,6 @@ __all__ = [
     "geometric_repair_multivariate",
     "get_backend",
     "load_plan",
-    "register_array_backend",
     "repair_damage",
     "resolve_executor",
     "save_plan",

@@ -1,36 +1,27 @@
-"""Pluggable array-API compute backends for the vectorised OT kernels.
+"""The array namespace the vectorised OT kernels are written against.
 
 The batched kernels of the OT layer (the monotone staircase of
 :func:`repro.ot.onedim.batched_north_west_corner`, the stacked Sinkhorn
 iterations of :mod:`repro.ot.sinkhorn`) are long chains of array
-operations with no data-dependent Python control flow — exactly the
-shape a device array library can take over unchanged.  This module is
-the seam: an :class:`ArrayBackend` exposes the namespace-style
-operations those kernels need (``asarray``, ``cumsum``, ``argsort``,
-``take_along_axis``, ``searchsorted``, ``einsum``, ``logsumexp``,
-``to_numpy``, ...), and the kernels are written against it instead of
-against :mod:`numpy` directly.
+operations with no data-dependent Python control flow.  They call an
+:class:`ArrayBackend` (``asarray``, ``cumsum``, ``argsort``,
+``take_along_axis``, ``einsum``, ``logsumexp``, ``to_numpy``, ...)
+instead of :mod:`numpy` directly.
 
 Backends
 --------
 
-``numpy`` (always available, the default)
+``numpy`` (the default)
     Delegates 1:1 to numpy/scipy.  The delegation is chosen so that a
     kernel running on this backend performs **exactly** the operations
     the pre-backend code performed — results are bit-identical.
-``array_api_strict`` (optional; the CI conformance backend)
-    Wraps the ``array_api_strict`` namespace, which implements the
-    Python array-API standard and nothing else.  Running the kernel
-    tests on it proves the kernels stay inside the standard — i.e. that
-    any conforming device library can slot in.
-``torch`` / ``cupy`` (optional, detected at runtime)
-    GPU-capable backends; registered only when the library imports.
+``array_api_strict`` (optional; the CI conformance namespace)
+    :class:`ArrayAPIBackend` over ``array_api_strict``, which implements
+    the Python array-API standard and nothing else.  Running the kernel
+    tests on it proves the kernels stay inside the standard.
 
-Lookup is entry-point-free: :func:`get_backend` resolves a spec —
-``None`` / ``"auto"`` (numpy today; device backends are explicit
-opt-ins so default results never change), a registered name, or a
-ready-made :class:`ArrayBackend` instance.  Third-party backends plug
-in with :func:`register_array_backend`.
+:func:`get_backend` resolves a spec: ``None`` or ``"numpy"``,
+``"array_api_strict"``, or a ready-made :class:`ArrayBackend` instance.
 
 >>> nx = get_backend()
 >>> nx.name
@@ -39,8 +30,6 @@ in with :func:`register_array_backend`.
 >>> bool(np.array_equal(nx.to_numpy(nx.cumsum(nx.asarray([1., 2.]), 0)),
 ...                     [1., 3.]))
 True
->>> sorted(set(available_backends()) & {"numpy"})
-['numpy']
 """
 
 from __future__ import annotations
@@ -50,9 +39,7 @@ import numpy as np
 from ..exceptions import ValidationError
 
 __all__ = ["ArrayBackend", "NumpyBackend", "ArrayAPIBackend",
-           "TorchBackend", "CupyBackend", "get_backend",
-           "available_backends", "register_array_backend",
-           "BACKEND_NAMES"]
+           "get_backend"]
 
 
 class ArrayBackend:
@@ -82,10 +69,6 @@ class ArrayBackend:
     def to_numpy(self, x) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def scalar(self, x) -> float:
-        """One device scalar to a host float (a single sync point)."""
-        return float(self.to_numpy(x))
-
     # -- creation ----------------------------------------------------------
     def zeros(self, shape, dtype=None):  # pragma: no cover - interface
         raise NotImplementedError
@@ -98,9 +81,6 @@ class ArrayBackend:
 
     # -- structure ---------------------------------------------------------
     def reshape(self, x, shape):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def stack(self, arrays, axis=0):  # pragma: no cover - interface
         raise NotImplementedError
 
     def concat(self, arrays, axis=0):  # pragma: no cover - interface
@@ -118,9 +98,6 @@ class ArrayBackend:
 
     def argsort(self, x, axis=-1):
         """Stable argsort (ties keep input order) along ``axis``."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def searchsorted(self, sorted_sequence, values, side="left"):
         raise NotImplementedError  # pragma: no cover - interface
 
     def einsum(self, subscripts, *operands):  # pragma: no cover
@@ -146,12 +123,6 @@ class ArrayBackend:
     def abs(self, x):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def power(self, a, b):  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def where(self, condition, a, b):  # pragma: no cover - interface
-        raise NotImplementedError
-
     def maximum(self, a, b):  # pragma: no cover - interface
         raise NotImplementedError
 
@@ -169,9 +140,6 @@ class ArrayBackend:
         raise NotImplementedError
 
     def max(self, x, axis=None, keepdims=False):  # pragma: no cover
-        raise NotImplementedError
-
-    def min(self, x, axis=None, keepdims=False):  # pragma: no cover
         raise NotImplementedError
 
     def any(self, x, axis=None):  # pragma: no cover - interface
@@ -219,9 +187,6 @@ class NumpyBackend(ArrayBackend):
     def reshape(self, x, shape):
         return np.reshape(x, shape)
 
-    def stack(self, arrays, axis=0):
-        return np.stack(arrays, axis=axis)
-
     def concat(self, arrays, axis=0):
         return np.concatenate(arrays, axis=axis)
 
@@ -236,9 +201,6 @@ class NumpyBackend(ArrayBackend):
 
     def argsort(self, x, axis=-1):
         return np.argsort(x, axis=axis, kind="stable")
-
-    def searchsorted(self, sorted_sequence, values, side="left"):
-        return np.searchsorted(sorted_sequence, values, side=side)
 
     def einsum(self, subscripts, *operands):
         return np.einsum(subscripts, *operands)
@@ -262,12 +224,6 @@ class NumpyBackend(ArrayBackend):
     def abs(self, x):
         return np.abs(x)
 
-    def power(self, a, b):
-        return np.power(a, b)
-
-    def where(self, condition, a, b):
-        return np.where(condition, a, b)
-
     def maximum(self, a, b):
         return np.maximum(a, b)
 
@@ -286,9 +242,6 @@ class NumpyBackend(ArrayBackend):
     def max(self, x, axis=None, keepdims=False):
         return np.max(x, axis=axis, keepdims=keepdims)
 
-    def min(self, x, axis=None, keepdims=False):
-        return np.min(x, axis=axis, keepdims=keepdims)
-
     def any(self, x, axis=None):
         return np.any(x, axis=axis)
 
@@ -303,9 +256,11 @@ class ArrayAPIBackend(ArrayBackend):
     strict namespace rejects every numpy-ism outside the standard
     (implicit bool arithmetic, scalar second operands, ``kind=`` sort
     arguments, ...), so a kernel that runs here runs on any conforming
-    device library.  Operations the standard lacks (``einsum``,
-    ``logsumexp``, ``take_along_axis`` before 2024.12) are emulated from
-    standard primitives.
+    array library.  The test suite also runs it over numpy's main
+    namespace, which implements the standard from numpy 2 on.
+    Operations the standard lacks (``einsum``, ``logsumexp``,
+    ``take_along_axis`` before 2024.12) are emulated from standard
+    primitives.
     """
 
     def __init__(self, xp, name=None):
@@ -356,9 +311,6 @@ class ArrayAPIBackend(ArrayBackend):
     def reshape(self, x, shape):
         return self.xp.reshape(x, shape)
 
-    def stack(self, arrays, axis=0):
-        return self.xp.stack(list(arrays), axis=axis)
-
     def concat(self, arrays, axis=0):
         return self.xp.concat(list(arrays), axis=axis)
 
@@ -388,9 +340,6 @@ class ArrayAPIBackend(ArrayBackend):
 
     def argsort(self, x, axis=-1):
         return self.xp.argsort(x, axis=axis, stable=True)
-
-    def searchsorted(self, sorted_sequence, values, side="left"):
-        return self.xp.searchsorted(sorted_sequence, values, side=side)
 
     def einsum(self, subscripts, *operands):
         """The einsum contractions the OT kernels use, via ``matmul``.
@@ -446,18 +395,6 @@ class ArrayAPIBackend(ArrayBackend):
     def abs(self, x):
         return self.xp.abs(x)
 
-    def power(self, a, b):
-        return self.xp.pow(a, self._wrap_operand(a, b))
-
-    def where(self, condition, a, b):
-        if not (hasattr(a, "dtype") or hasattr(b, "dtype")):
-            a = self.xp.asarray(a)
-        if hasattr(a, "dtype"):
-            b = self._wrap_operand(a, b)
-        else:
-            a = self._wrap_operand(b, a)
-        return self.xp.where(condition, a, b)
-
     def maximum(self, a, b):
         return self.xp.maximum(a, self._wrap_operand(a, b))
 
@@ -476,9 +413,6 @@ class ArrayAPIBackend(ArrayBackend):
     def max(self, x, axis=None, keepdims=False):
         return self.xp.max(x, axis=axis, keepdims=keepdims)
 
-    def min(self, x, axis=None, keepdims=False):
-        return self.xp.min(x, axis=axis, keepdims=keepdims)
-
     def any(self, x, axis=None):
         return self.xp.any(x, axis=axis)
 
@@ -489,357 +423,7 @@ class ArrayAPIBackend(ArrayBackend):
         return f"{type(self).__name__}({self.name!r})"
 
 
-class TorchBackend(ArrayBackend):
-    """PyTorch backend (CPU by default; pass ``device=`` for CUDA/MPS)."""
-
-    name = "torch"
-
-    def __init__(self, device=None):
-        import torch  # deferred: optional dependency
-
-        self.torch = torch
-        self.device = device
-        self.float64 = torch.float64
-        self.int64 = torch.int64
-        self.bool = torch.bool
-
-    def asarray(self, x, dtype=None):
-        if isinstance(x, self.torch.Tensor):
-            tensor = x
-        else:
-            # as_tensor mishandles non-contiguous host views (e.g.
-            # numpy broadcast_to results with zero strides).
-            tensor = self.torch.as_tensor(
-                np.ascontiguousarray(np.asarray(x)))
-        if dtype is not None:
-            tensor = tensor.to(dtype)
-        if self.device is not None:
-            tensor = tensor.to(self.device)
-        return tensor
-
-    def astype(self, x, dtype):
-        return x.to(dtype)
-
-    def to_numpy(self, x) -> np.ndarray:
-        return x.detach().cpu().numpy()
-
-    def zeros(self, shape, dtype=None):
-        return self.torch.zeros(shape, dtype=dtype, device=self.device)
-
-    def ones(self, shape, dtype=None):
-        return self.torch.ones(shape, dtype=dtype, device=self.device)
-
-    def arange(self, start, stop=None, dtype=None):
-        if stop is None:
-            start, stop = 0, start
-        return self.torch.arange(start, stop, dtype=dtype,
-                                 device=self.device)
-
-    def reshape(self, x, shape):
-        return self.torch.reshape(x, shape)
-
-    def stack(self, arrays, axis=0):
-        return self.torch.stack(list(arrays), dim=axis)
-
-    def concat(self, arrays, axis=0):
-        return self.torch.cat(list(arrays), dim=axis)
-
-    def take(self, x, indices, axis):
-        return self.torch.index_select(x, axis, indices)
-
-    def take_along_axis(self, x, indices, axis):
-        return self.torch.take_along_dim(x, indices, dim=axis)
-
-    def cumsum(self, x, axis):
-        return self.torch.cumsum(x, dim=axis)
-
-    def argsort(self, x, axis=-1):
-        return self.torch.argsort(x, dim=axis, stable=True)
-
-    def searchsorted(self, sorted_sequence, values, side="left"):
-        return self.torch.searchsorted(sorted_sequence, values, side=side)
-
-    def einsum(self, subscripts, *operands):
-        return self.torch.einsum(subscripts, *operands)
-
-    def matmul(self, a, b):
-        return self.torch.matmul(a, b)
-
-    def transpose(self, x):
-        return self.torch.transpose(x, -2, -1)
-
-    def logsumexp(self, x, axis=None):
-        if axis is None:
-            return self.torch.logsumexp(x.reshape(-1), dim=0)
-        return self.torch.logsumexp(x, dim=axis)
-
-    def exp(self, x):
-        return self.torch.exp(x)
-
-    def log(self, x):
-        return self.torch.log(x)
-
-    def abs(self, x):
-        return self.torch.abs(x)
-
-    def power(self, a, b):
-        return self.torch.pow(a, b)
-
-    def where(self, condition, a, b):
-        if not isinstance(a, self.torch.Tensor) \
-                and not isinstance(b, self.torch.Tensor):
-            a = self.asarray(a)
-        return self.torch.where(condition, a, b)
-
-    def maximum(self, a, b):
-        if not isinstance(b, self.torch.Tensor):
-            b = self.torch.as_tensor(b, dtype=a.dtype, device=a.device)
-        return self.torch.maximum(a, b)
-
-    def minimum(self, a, b):
-        if not isinstance(b, self.torch.Tensor):
-            b = self.torch.as_tensor(b, dtype=a.dtype, device=a.device)
-        return self.torch.minimum(a, b)
-
-    def logical_or(self, a, b):
-        return self.torch.logical_or(a, b)
-
-    def isfinite(self, x):
-        return self.torch.isfinite(x)
-
-    def sum(self, x, axis=None, keepdims=False):
-        if axis is None:
-            return self.torch.sum(x)
-        return self.torch.sum(x, dim=axis, keepdim=keepdims)
-
-    def max(self, x, axis=None, keepdims=False):
-        if axis is None:
-            return self.torch.max(x)
-        return self.torch.amax(x, dim=axis, keepdim=keepdims)
-
-    def min(self, x, axis=None, keepdims=False):
-        if axis is None:
-            return self.torch.min(x)
-        return self.torch.amin(x, dim=axis, keepdim=keepdims)
-
-    def any(self, x, axis=None):
-        if axis is None:
-            return self.torch.any(x)
-        return self.torch.any(x, dim=axis)
-
-    def all(self, x, axis=None):
-        if axis is None:
-            return self.torch.all(x)
-        return self.torch.all(x, dim=axis)
-
-
-class CupyBackend(ArrayBackend):
-    """CuPy backend (numpy-compatible namespace on CUDA devices)."""
-
-    name = "cupy"
-
-    def __init__(self):
-        import cupy  # deferred: optional dependency
-
-        self.cupy = cupy
-        self.float64 = cupy.float64
-        self.int64 = cupy.int64
-        self.bool = cupy.bool_
-
-    def asarray(self, x, dtype=None):
-        return self.cupy.asarray(x, dtype=dtype)
-
-    def astype(self, x, dtype):
-        return x.astype(dtype)
-
-    def to_numpy(self, x) -> np.ndarray:
-        return self.cupy.asnumpy(x)
-
-    def zeros(self, shape, dtype=None):
-        return self.cupy.zeros(shape, dtype=dtype)
-
-    def ones(self, shape, dtype=None):
-        return self.cupy.ones(shape, dtype=dtype)
-
-    def arange(self, start, stop=None, dtype=None):
-        return self.cupy.arange(start, stop, dtype=dtype)
-
-    def reshape(self, x, shape):
-        return self.cupy.reshape(x, shape)
-
-    def stack(self, arrays, axis=0):
-        return self.cupy.stack(list(arrays), axis=axis)
-
-    def concat(self, arrays, axis=0):
-        return self.cupy.concatenate(list(arrays), axis=axis)
-
-    def take(self, x, indices, axis):
-        return self.cupy.take(x, indices, axis=axis)
-
-    def take_along_axis(self, x, indices, axis):
-        return self.cupy.take_along_axis(x, indices, axis=axis)
-
-    def cumsum(self, x, axis):
-        return self.cupy.cumsum(x, axis=axis)
-
-    def argsort(self, x, axis=-1):
-        return self.cupy.argsort(x, axis=axis, kind="stable")
-
-    def searchsorted(self, sorted_sequence, values, side="left"):
-        return self.cupy.searchsorted(sorted_sequence, values, side=side)
-
-    def einsum(self, subscripts, *operands):
-        return self.cupy.einsum(subscripts, *operands)
-
-    def matmul(self, a, b):
-        return self.cupy.matmul(a, b)
-
-    def transpose(self, x):
-        return self.cupy.swapaxes(x, -2, -1)
-
-    def logsumexp(self, x, axis=None):
-        shift = self.cupy.max(x, axis=axis, keepdims=True)
-        shift = self.cupy.where(self.cupy.isfinite(shift), shift, 0.0)
-        out = self.cupy.log(self.cupy.sum(self.cupy.exp(x - shift),
-                                          axis=axis))
-        return out + self.cupy.squeeze(shift, axis=axis)
-
-    def exp(self, x):
-        return self.cupy.exp(x)
-
-    def log(self, x):
-        return self.cupy.log(x)
-
-    def abs(self, x):
-        return self.cupy.abs(x)
-
-    def power(self, a, b):
-        return self.cupy.power(a, b)
-
-    def where(self, condition, a, b):
-        return self.cupy.where(condition, a, b)
-
-    def maximum(self, a, b):
-        return self.cupy.maximum(a, b)
-
-    def minimum(self, a, b):
-        return self.cupy.minimum(a, b)
-
-    def logical_or(self, a, b):
-        return self.cupy.logical_or(a, b)
-
-    def isfinite(self, x):
-        return self.cupy.isfinite(x)
-
-    def sum(self, x, axis=None, keepdims=False):
-        return self.cupy.sum(x, axis=axis, keepdims=keepdims)
-
-    def max(self, x, axis=None, keepdims=False):
-        return self.cupy.max(x, axis=axis, keepdims=keepdims)
-
-    def min(self, x, axis=None, keepdims=False):
-        return self.cupy.min(x, axis=axis, keepdims=keepdims)
-
-    def any(self, x, axis=None):
-        return self.cupy.any(x, axis=axis)
-
-    def all(self, x, axis=None):
-        return self.cupy.all(x, axis=axis)
-
-
-# -- entry-point-free registry ------------------------------------------------
-
-
-def _make_numpy() -> ArrayBackend:
-    return NumpyBackend()
-
-
-def _make_array_api_strict() -> ArrayBackend:
-    import array_api_strict  # raises ImportError when unavailable
-
-    return ArrayAPIBackend(array_api_strict, name="array_api_strict")
-
-
-def _make_torch() -> ArrayBackend:
-    return TorchBackend()
-
-
-def _make_cupy() -> ArrayBackend:
-    return CupyBackend()
-
-
-#: name -> zero-argument factory.  Factories raise ``ImportError`` when
-#: the underlying library is absent; :func:`get_backend` turns that into
-#: an actionable :class:`~repro.exceptions.ValidationError`.
-_FACTORIES: dict = {
-    "numpy": _make_numpy,
-    "array_api_strict": _make_array_api_strict,
-    "torch": _make_torch,
-    "cupy": _make_cupy,
-}
-
-#: Aliases accepted by :func:`get_backend` besides the primary names.
-_ALIASES: dict = {"auto": "numpy", "strict": "array_api_strict"}
-
-#: The registered primary backend names (availability not implied; see
-#: :func:`available_backends`).
-BACKEND_NAMES = tuple(_FACTORIES)
-
-#: Resolved singletons, one per primary name.
-_INSTANCES: dict = {}
-
-
-def register_array_backend(name: str, factory, *,
-                           overwrite: bool = False) -> None:
-    """Register a zero-argument backend ``factory`` under ``name``.
-
-    The entry-point-free plugin hook: third-party device backends add
-    themselves here and every ``backend=`` consumer (``solve``,
-    ``solve_many``, ``design_repair``, the CLI) can resolve them by
-    name.  The factory may raise ``ImportError`` to signal that its
-    library is unavailable at runtime.
-    """
-    if not name or not isinstance(name, str):
-        raise ValidationError("backend name must be a non-empty string")
-    if (name in _FACTORIES or name in _ALIASES) and not overwrite:
-        raise ValidationError(
-            f"backend {name!r} is already registered; pass overwrite=True "
-            "to replace it")
-    _FACTORIES[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def available_backends() -> tuple:
-    """Names of the backends that can actually be constructed right now
-    (the optional libraries behind ``torch``/``cupy``/
-    ``array_api_strict`` are probed, not assumed).
-
-    >>> "numpy" in available_backends()
-    True
-    """
-    names = []
-    for name in _FACTORIES:
-        try:
-            _resolve_name(name)
-        except ValidationError:
-            continue
-        names.append(name)
-    return tuple(names)
-
-
-def _resolve_name(name: str) -> ArrayBackend:
-    if name in _INSTANCES:
-        return _INSTANCES[name]
-    factory = _FACTORIES[name]
-    try:
-        instance = factory()
-    except ImportError as exc:
-        raise ValidationError(
-            f"backend {name!r} is registered but not available in this "
-            f"environment ({exc}); install it or pick another backend"
-        ) from exc
-    _INSTANCES[name] = instance
-    return instance
+_NUMPY = NumpyBackend()
 
 
 def get_backend(spec=None) -> ArrayBackend:
@@ -848,30 +432,28 @@ def get_backend(spec=None) -> ArrayBackend:
     Parameters
     ----------
     spec:
-        ``None`` or ``"auto"`` — the numpy reference backend (device
-        backends are explicit opt-ins, so default results never change);
-        a registered name (``"numpy"``, ``"torch"``, ``"cupy"``,
-        ``"array_api_strict"``, or anything added through
-        :func:`register_array_backend`); or a ready-made
+        ``None`` or ``"numpy"`` — the numpy reference backend;
+        ``"array_api_strict"`` — :class:`ArrayAPIBackend` over the
+        optional ``array_api_strict`` package; or a ready-made
         :class:`ArrayBackend` instance (returned as-is).
 
-    >>> get_backend("auto").name
+    >>> get_backend("numpy").name
     'numpy'
-    >>> get_backend(get_backend("numpy")).name
-    'numpy'
+    >>> get_backend(get_backend()) is get_backend()
+    True
     """
-    if spec is None:
-        return _resolve_name("numpy")
     if isinstance(spec, ArrayBackend):
         return spec
-    if isinstance(spec, str):
-        name = _ALIASES.get(spec, spec)
-        if name not in _FACTORIES:
+    if spec is None or spec == "numpy":
+        return _NUMPY
+    if spec == "array_api_strict":
+        try:
+            import array_api_strict
+        except ImportError as exc:
             raise ValidationError(
-                f"unknown backend {spec!r}; expected one of "
-                f"{tuple(_FACTORIES) + tuple(_ALIASES)} or an ArrayBackend "
-                "instance")
-        return _resolve_name(name)
+                "backend 'array_api_strict' needs the array-api-strict "
+                f"package, which is not installed ({exc})") from exc
+        return ArrayAPIBackend(array_api_strict, name="array_api_strict")
     raise ValidationError(
-        f"cannot resolve backend spec of type {type(spec).__name__}; pass "
-        f"a name from {tuple(_FACTORIES)}, None/'auto', or an ArrayBackend")
+        f"unknown backend {spec!r}; expected None, 'numpy', "
+        "'array_api_strict' or an ArrayBackend instance")

@@ -48,7 +48,6 @@ from ..ot.coupling import SPARSE_DENSITY_THRESHOLD, TransportPlan
 from ..ot.problem import OTBatch, OTProblem
 from ..ot.registry import Solver, filter_opts, resolve_solver
 from ..ot.solve import solve_many
-from .backend import get_backend
 from .executor import resolve_executor
 from .plan import FeaturePlan, RepairPlan
 
@@ -75,7 +74,6 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
                         padding: float = 0.0,
                         epsilon: float = 5e-3,
                         solver_opts: dict | None = None,
-                        backend=None,
                         sparse_plans=False) -> FeaturePlan:
     """Design the repair machinery for a single ``(u, k)`` cell.
 
@@ -115,14 +113,6 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
         the resolved solver's signature does not accept are dropped —
         computed **once per cell batch** via
         :func:`~repro.ot.registry.filter_opts`, never per solve.
-    backend:
-        Compute backend for the plan solves
-        (:func:`repro.core.backend.get_backend`): ``None``/``"auto"``
-        for the bit-identical numpy reference, ``"torch"``/``"cupy"``
-        for device execution.  Offered with signature filtering like
-        every other knob — backend-aware solvers (the default
-        ``"exact"`` monotone kernel, the entropic pair) receive it, the
-        scipy-bound ones ignore it.
     sparse_plans:
         Plan-storage policy: ``False`` (default — keep whatever storage
         the solver produced: the default ``"exact"`` solver returns its
@@ -143,7 +133,7 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
         bandwidth_method=bandwidth_method, padding=padding)
     opts = _cell_solver_opts(resolved, epsilon, solver_opts)
     results = solve_many(_cell_problems(grid, marginals, target),
-                         method=resolved, backend=backend, **opts)
+                         method=resolved, **opts)
     return _assemble_feature_plan(grid, marginals, target,
                                   {s: results[s] for s in (0, 1)},
                                   sparse_plans)
@@ -157,7 +147,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
                   solver_opts: dict | None = None,
                   n_jobs: int | None = None,
                   executor=None,
-                  backend=None,
                   sparse_plans=False) -> RepairPlan:
     """Algorithm 1 over every ``(u, k)`` cell of the research data.
 
@@ -198,12 +187,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         ``"auto"``/``None`` (serial for ``n_jobs`` ≤ 1, else thread or
         process depending on the solver), or any ready-made object with
         ``map(fn, iterable)`` — see :mod:`repro.core.executor`.
-    backend:
-        Compute backend for the batched plan solves (see
-        :func:`design_feature_plan`); the resolved backend name is
-        recorded in ``metadata["backend"]`` next to the executor
-        strategy.  The numpy default is bit-identical to previous
-        releases.
     sparse_plans:
         Plan-storage policy forwarded to :func:`design_feature_plan`:
         ``False`` (keep the solver's storage — CSR for ``"exact"``) /
@@ -213,16 +196,12 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
     -------
     RepairPlan
         Every ``π*_{u,s,k}`` plus supports, design metadata (including
-        the executor strategy, the compute backend and batched-solve
-        tally), and the per-cell :class:`~repro.ot.problem.OTResult`
-        diagnostics.
+        the executor strategy and batched-solve tally), and the per-cell
+        :class:`~repro.ot.problem.OTResult` diagnostics.
     """
     resolved = resolve_solver(solver)
     sparse_plans = _check_sparse_mode(sparse_plans)
     t = check_probability(t, name="t")
-    # Resolve eagerly: a backend typo (or an unavailable device library)
-    # must fail before any cell work starts.
-    resolved_backend = get_backend(backend)
     if n_jobs is not None:
         n_jobs = check_positive_int(n_jobs, name="n_jobs")
     engine = resolve_executor(executor, n_jobs=n_jobs, solver=resolved)
@@ -259,7 +238,7 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         problems.extend(_cell_problems(grid, marginals, target))
     opts = _cell_solver_opts(resolved, epsilon, solver_opts)
     results = solve_many(OTBatch(tuple(problems)), method=resolved,
-                         executor=engine, backend=backend, **opts)
+                         executor=engine, **opts)
 
     # Phase 3 — assemble the per-cell plans and the design record.
     feature_plans = {}
@@ -296,14 +275,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         "n_jobs": int(getattr(engine, "n_jobs",
                               1 if n_jobs is None else n_jobs)),
         "executor": getattr(engine, "name", type(engine).__name__),
-        # The compute backend the plan solves actually ran on: the
-        # resolved name ("auto"/None record as "numpy") — unless the
-        # solver is not backend-aware, in which case the knob was
-        # dropped and the scipy/numpy path ran regardless of what the
-        # caller asked for.
-        "backend": (resolved_backend.name
-                    if filter_opts(resolved, {"backend": None})
-                    else "numpy"),
         "n_batched_solves": sum(
             1 for result in results if result.extras.get("batched")),
         "sparse_plans": sparse_plans,

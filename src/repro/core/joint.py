@@ -41,7 +41,6 @@ from ..ot.coupling import conditional_cumulative, sample_conditional_rows
 from ..ot.problem import OTBatch, OTProblem
 from ..ot.registry import filter_opts, resolve_solver
 from ..ot.solve import solve_many
-from .backend import get_backend
 from .executor import resolve_executor
 
 __all__ = ["JointFeaturePlan", "JointRepairPlan", "design_joint_repair",
@@ -155,8 +154,7 @@ def design_joint_repair(research: FairnessDataset, n_states: int = 15, *,
                         max_iter: int = 20_000,
                         solver="sinkhorn",
                         n_jobs: int | None = None,
-                        executor=None,
-                        backend=None) -> JointRepairPlan:
+                        executor=None) -> JointRepairPlan:
     """Design the joint repair on a product grid, per ``u`` group.
 
     ``solver`` is any registry-resolvable spec for the plan solves; the
@@ -176,7 +174,6 @@ def design_joint_repair(research: FairnessDataset, n_states: int = 15, *,
     before the next group is designed.
     """
     resolved = resolve_solver(solver)
-    resolved_backend = get_backend(backend)  # typos fail before designing
     n_states = check_positive_int(n_states, name="n_states", minimum=2)
     t = check_probability(t, name="t")
     if n_jobs is not None:
@@ -225,7 +222,7 @@ def design_joint_repair(research: FairnessDataset, n_states: int = 15, *,
         results = solve_many(
             OTBatch(tuple(OTProblem.from_cost(cost, marginals[s], target)
                           for s in (0, 1))),
-            method=resolved, executor=engine, backend=backend, **opts)
+            method=resolved, executor=engine, **opts)
         conditionals = {}
         for s in (0, 1):
             result = results[s]
@@ -243,11 +240,6 @@ def design_joint_repair(research: FairnessDataset, n_states: int = 15, *,
                 "n_research": len(research),
                 "solver": resolved.name,
                 "executor": getattr(engine, "name", type(engine).__name__),
-                # Honest provenance: solvers that are not backend-aware
-                # drop the knob and run on numpy/scipy regardless.
-                "backend": (resolved_backend.name
-                            if filter_opts(resolved, {"backend": None})
-                            else "numpy"),
                 "ot": ot_diagnostics}
     return JointRepairPlan(group_plans=group_plans, n_features=d, t=t,
                            metadata=metadata)
@@ -261,9 +253,7 @@ class JointDistributionalRepairer:
     suitable for multi-dimensional problems (``"sinkhorn"`` default,
     ``"screened"`` for an exact-on-sparse-support alternative), and
     ``executor`` / ``n_jobs`` fan the batched ``(u, s)`` plan solves
-    over the execution engine, and ``backend`` selects the compute
-    backend of the (backend-aware) entropic solves (see
-    :func:`design_joint_repair`).
+    over the execution engine (see :func:`design_joint_repair`).
     """
 
     def __init__(self, n_states: int = 15, *, t: float = 0.5,
@@ -271,9 +261,8 @@ class JointDistributionalRepairer:
                  bandwidth_method: str = "silverman",
                  padding: float = 0.0, solver="sinkhorn",
                  n_jobs: int | None = None, executor=None,
-                 backend=None, rng=None) -> None:
+                 rng=None) -> None:
         resolve_solver(solver)  # fail fast on typos
-        get_backend(backend)  # likewise for the compute backend
         self.n_states = n_states
         self.t = t
         self.epsilon = epsilon
@@ -282,7 +271,6 @@ class JointDistributionalRepairer:
         self.solver = solver
         self.n_jobs = n_jobs
         self.executor = executor
-        self.backend = backend
         self._rng = as_rng(rng)
         self._plan: JointRepairPlan | None = None
 
@@ -302,7 +290,7 @@ class JointDistributionalRepairer:
             research, self.n_states, t=self.t, epsilon=self.epsilon,
             bandwidth_method=self.bandwidth_method, padding=self.padding,
             solver=self.solver, n_jobs=self.n_jobs,
-            executor=self.executor, backend=self.backend)
+            executor=self.executor)
         return self
 
     def transform(self, dataset: FairnessDataset, *,

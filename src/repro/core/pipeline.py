@@ -66,16 +66,14 @@ class RepairPipeline:
         ``solver``, ...).  ``solver`` accepts any OT-registry-resolvable
         spec — a registered name, a callable, or a
         :class:`~repro.ot.registry.Solver` — so the whole pipeline runs
-        on a pluggable OT backend.  The Algorithm-1 design runs on the
+        on any registered OT solver.  The Algorithm-1 design runs on the
         batched execution engine: batch-kernel solvers (the default
         ``"exact"``) solve all same-grid cells in one vectorised
         dispatch, and ``executor=`` (``"serial"`` / ``"thread"`` /
         ``"process"`` / ``"auto"``) with ``n_jobs`` fans the remaining
-        per-cell work — these plus ``backend=`` (the compute backend of
-        the vectorised kernels, ``"numpy"``/``"torch"``/``"cupy"`` via
-        :func:`repro.core.backend.get_backend`) and ``sparse_plans``
-        (CSR plan storage) are the scale knobs for many-feature,
-        large-``n_Q`` deployments.
+        per-cell work — these plus ``sparse_plans`` (CSR plan storage)
+        are the scale knobs for many-feature, large-``n_Q``
+        deployments.
     """
 
     def __init__(self, *, estimate_labels: bool = False, n_grid: int = 100,

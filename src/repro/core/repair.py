@@ -29,7 +29,6 @@ from ..data.streaming import ArchiveStream
 from ..exceptions import NotFittedError, ValidationError
 from ..ot.coupling import _sample_csr_entries, conditional_cumulative
 from ..ot.registry import resolve_solver
-from .backend import get_backend
 from .design import design_repair
 from .plan import FeaturePlan, RepairPlan
 
@@ -330,13 +329,6 @@ class DistributionalRepairer:
         ``"exact"``) solve all same-grid cells in one vectorised
         dispatch regardless of the strategy; every strategy is
         bit-identical to the serial design.
-    backend:
-        Compute backend for the Algorithm-1 plan solves
-        (:func:`repro.core.backend.get_backend`): ``None``/``"auto"``
-        for the bit-identical numpy reference, ``"torch"``/``"cupy"``
-        for device execution.  Unknown or unavailable backends fail at
-        construction time; the resolved name is recorded in the plan
-        metadata next to the executor strategy.
     sparse_plans:
         Plan-storage policy: ``False`` (keep whatever the solver
         produced — CSR for the default ``"exact"``), ``True`` (force
@@ -355,7 +347,7 @@ class DistributionalRepairer:
                  solver_opts: dict | None = None,
                  rounding: str = "stochastic", output: str = "sample",
                  n_jobs: int | None = None, executor=None,
-                 backend=None, sparse_plans=False, rng=None) -> None:
+                 sparse_plans=False, rng=None) -> None:
         if rounding not in ROUNDING_MODES:
             raise ValidationError(
                 f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
@@ -363,7 +355,6 @@ class DistributionalRepairer:
             raise ValidationError(
                 f"unknown output {output!r}; expected {OUTPUT_MODES}")
         resolve_solver(solver)  # fail fast on typos, before any fitting
-        get_backend(backend)  # likewise for the compute backend
         self.n_states = n_states
         self.t = t
         self.solver = solver
@@ -376,7 +367,6 @@ class DistributionalRepairer:
         self.output = output
         self.n_jobs = n_jobs
         self.executor = executor
-        self.backend = backend
         self.sparse_plans = sparse_plans
         self._rng = as_rng(rng)
         self._plan: RepairPlan | None = None
@@ -402,7 +392,7 @@ class DistributionalRepairer:
             bandwidth_method=self.bandwidth_method, padding=self.padding,
             epsilon=self.epsilon, solver_opts=self.solver_opts,
             n_jobs=self.n_jobs, executor=self.executor,
-            backend=self.backend, sparse_plans=self.sparse_plans)
+            sparse_plans=self.sparse_plans)
         return self
 
     def transform(self, dataset: FairnessDataset, *,

@@ -302,6 +302,11 @@ def _read_archive(file_path: Path, *, mmap: bool = False,
     ``cells`` restricts loading to a subset of the archive's cells
     (``None`` loads all).
     """
+    # np.load hands a non-zip file to pickle (an empty one escapes as a
+    # bare EOFError), so check the format before either reader sees it.
+    if not zipfile.is_zipfile(file_path):
+        raise DataError(f"{file_path} is corrupt or not a repro plan "
+                        "archive: File is not a zip file")
     try:
         with (_MappedNpz(file_path) if mmap
               else np.load(file_path)) as archive:

@@ -42,6 +42,22 @@ class ResearchArchiveSplit:
         return self.n_research / total if total else 0.0
 
 
+def _as_labels(values, name: str) -> np.ndarray:
+    """``values`` as a flat int array.  Integer and bool input passes
+    straight through; any other input must hold finite whole numbers, so
+    a label such as ``s = 0.5`` is an error rather than silently group 0.
+    """
+    labels = np.asarray(values).ravel()
+    if labels.dtype.kind in "biu":
+        return labels.astype(int)
+    labels = labels.astype(float)
+    whole = np.isfinite(labels) & (labels == np.trunc(labels))
+    if not whole.all():
+        raise DataError(f"{name} must hold whole numbers, got "
+                        f"{labels[~whole][0]}")
+    return labels.astype(int)
+
+
 @dataclass(frozen=True)
 class FairnessDataset:
     """Immutable ``(X, S, U[, Y])`` container with group utilities.
@@ -68,8 +84,8 @@ class FairnessDataset:
 
     def __post_init__(self) -> None:
         x = as_2d_array(self.features, name="features")
-        s = np.asarray(self.s).astype(int).ravel()
-        u = np.asarray(self.u).astype(int).ravel()
+        s = _as_labels(self.s, "protected attribute s")
+        u = _as_labels(self.u, "unprotected attribute u")
         if s.size != x.shape[0] or u.size != x.shape[0]:
             raise DataError(
                 f"features ({x.shape[0]} rows) and labels (s: {s.size}, "
@@ -80,7 +96,7 @@ class FairnessDataset:
             raise DataError("unprotected attribute u must be non-negative")
         y = self.y
         if y is not None:
-            y = np.asarray(y).astype(int).ravel()
+            y = _as_labels(y, "y labels")
             if y.size != x.shape[0]:
                 raise DataError("y labels misaligned with features")
             if not np.all(np.isin(y, (0, 1))):

@@ -59,10 +59,10 @@ from .onedim import (banded_monotone_transport, batched_north_west_corner,
                      north_west_corner_support, quantile_function, solve_1d,
                      wasserstein_1d)
 from .problem import OTBatch, OTProblem, OTResult
-from .registry import (Solver, available_solvers, backend_support,
-                       batch_support, filter_opts, register_batch_solver,
-                       register_solver, resolve_solver,
-                       solver_descriptions, unregister_solver)
+from .registry import (Solver, available_solvers, batch_support,
+                       filter_opts, register_batch_solver, register_solver,
+                       resolve_solver, solver_descriptions,
+                       unregister_solver)
 from .sinkhorn import (SinkhornResult, batched_sinkhorn,
                        batched_sinkhorn_log, sinkhorn, sinkhorn_log,
                        solve_sinkhorn)
@@ -81,7 +81,6 @@ __all__ = [
     "TransportPlan",
     "auto_method",
     "available_solvers",
-    "backend_support",
     "band_bounds",
     "banded_monotone_transport",
     "barycenter_1d",

@@ -33,8 +33,7 @@ __all__ = [
 ]
 
 
-def north_west_corner(source_weights, target_weights, *,
-                      backend=None) -> np.ndarray:
+def north_west_corner(source_weights, target_weights) -> np.ndarray:
     """Greedy north-west-corner coupling of two probability vectors.
 
     Produces the unique monotone coupling: the plan obtained by walking the
@@ -42,28 +41,13 @@ def north_west_corner(source_weights, target_weights, *,
     with convex costs *when rows and columns are in sorted support order*.
 
     Returns a dense ``(n, m)`` matrix; the plan has at most ``n + m - 1``
-    non-zero entries.
-
-    ``backend`` selects the compute backend (see
-    :func:`repro.core.backend.get_backend`).  The default (``None``)
-    keeps the historical sequential staircase walk, bit-identical to
-    every release so far; any explicit backend — including ``"numpy"``
-    — routes through the vectorised merged-CDF kernel
-    (:func:`batched_north_west_corner` at ``B = 1``), whose tie-handling
-    round-off may differ in the last ulp.
+    non-zero entries.  :func:`batched_north_west_corner` is the
+    vectorised counterpart for stacks of problems.
     """
     mu = as_probability_vector(source_weights, name="source_weights",
                                normalize=True)
     nu = as_probability_vector(target_weights, name="target_weights",
                                normalize=True)
-    if backend is not None:
-        nx = get_backend(backend)
-        rows, cols, masses = batched_north_west_corner(
-            mu[None, :], nu[None, :], backend=nx)
-        flat = (nx.to_numpy(rows[0]) * nu.size + nx.to_numpy(cols[0]))
-        return np.bincount(flat, weights=nx.to_numpy(masses[0]),
-                           minlength=mu.size * nu.size).reshape(mu.size,
-                                                                nu.size)
     rows, cols, masses = _staircase_walk(mu, nu)
     plan = np.zeros((mu.size, nu.size))
     plan[rows, cols] = masses
@@ -140,8 +124,8 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
     ``n_Q`` grid): instead of walking each staircase in a Python loop,
     the two cumulative distributions of every problem are merged and
     sorted **once** across the whole ``(B, n + m)`` stack — a single
-    chain of NumPy array operations, which is exactly the shape an
-    array-API/GPU backend can later take over unchanged.
+    chain of array operations written against
+    :class:`~repro.core.backend.ArrayBackend`.
 
     Parameters
     ----------
@@ -150,13 +134,12 @@ def batched_north_west_corner(source_weight_stack, target_weight_stack,
         normalised to a probability vector.
     backend:
         Compute backend spec (see
-        :func:`repro.core.backend.get_backend`): ``None``/``"auto"`` for
-        the bit-identical numpy reference, ``"torch"``/``"cupy"`` for
-        device execution, ``"array_api_strict"`` for the CI conformance
-        run.  The whole traversal — cumulative sums, the merged-CDF
-        stable sort, the index arithmetic — runs as backend array
-        operations; only the returned arrays are backend-native (callers
-        convert at the :class:`~repro.ot.coupling.TransportPlan`
+        :func:`repro.core.backend.get_backend`): ``None`` for the
+        bit-identical numpy reference, ``"array_api_strict"`` for the
+        CI conformance run.  The whole traversal — cumulative sums, the
+        merged-CDF stable sort, the index arithmetic — runs as backend
+        array operations; only the returned arrays are backend-native
+        (callers convert at the :class:`~repro.ot.coupling.TransportPlan`
         boundary via ``backend.to_numpy``).
 
     Returns

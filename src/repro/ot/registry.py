@@ -47,8 +47,7 @@ from .coupling import TransportPlan
 
 __all__ = ["Solver", "filter_opts", "register_solver",
            "register_batch_solver", "unregister_solver", "resolve_solver",
-           "available_solvers", "solver_descriptions", "batch_support",
-           "backend_support"]
+           "available_solvers", "solver_descriptions", "batch_support"]
 
 
 @dataclass(frozen=True)
@@ -205,27 +204,6 @@ def batch_support() -> dict:
     mapping by ``tests/test_docs.py``.
     """
     return {name: _REGISTRY[name].supports_batch
-            for name in available_solvers()}
-
-
-def backend_support() -> dict:
-    """``name -> accepts backend=`` for every registered solver.
-
-    A solver is *backend-aware* when its signature takes a ``backend``
-    keyword (or ``**kwargs``, like ``"auto"``, which forwards the knob
-    to whichever backend-aware solver wins dispatch): ``solve(...,
-    backend=...)`` and the design layer offer the selected compute
-    backend (:func:`repro.core.backend.get_backend`) to exactly these
-    solvers and silently drop it for the rest — the same signature-
-    filtering convention as every other tuning knob.  The docs solver
-    table's *Backend-aware* column is kept in sync with this mapping by
-    ``tests/test_docs.py``.
-
-    >>> support = backend_support()
-    >>> support["exact"], support["sinkhorn_log"], support["lp"]
-    (True, True, False)
-    """
-    return {name: bool(filter_opts(_REGISTRY[name], {"backend": None}))
             for name in available_solvers()}
 
 

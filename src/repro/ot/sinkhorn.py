@@ -18,10 +18,10 @@ Two numerical regimes are provided:
 * a log-domain stabilised iteration that survives very small ``ε`` where the
   Gibbs kernel underflows.
 
-Both run on a pluggable compute backend
+Both are written against :class:`repro.core.backend.ArrayBackend`
 (:func:`repro.core.backend.get_backend`): the default numpy backend is
-bit-identical to the historical implementation, and ``backend="torch"``
-/ ``"cupy"`` move the dense linear algebra to a device.  The *batched*
+bit-identical to the historical implementation, and the array-API
+adapter checks that the kernels stay inside the standard.  The *batched*
 variants (:func:`batched_sinkhorn` / :func:`batched_sinkhorn_log`) run a
 whole stack of same-shape problems as one ``(B, n, m)`` einsum chain
 with per-problem convergence masking — the kernels behind
@@ -295,7 +295,7 @@ def batched_sinkhorn(cost_stack, source_weight_stack, target_weight_stack,
     state = _BatchState(B, max_iter)
     for iteration in range(1, max_iter + 1):
         kv = nx.einsum("bij,bj->bi", kernel, v)
-        # Accumulate underflow flags on-device; the serial solver checks
+        # Accumulate underflow flags as an array; the serial solver checks
         # every iteration, the batch syncs only at checkpoints and the
         # flagged problems restart in the log domain either way.
         bad = nx.logical_or(bad, nx.any(kv <= 1e-300, axis=1))

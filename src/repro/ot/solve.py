@@ -215,12 +215,12 @@ def solve(problem_or_cost, source_weights=None, target_weights=None, *,
         instance, or ``"auto"`` (structure-based dispatch).
     backend:
         Compute backend for the solver's vectorised kernels
-        (:func:`repro.core.backend.get_backend`): ``None``/``"auto"``
-        for the bit-identical numpy reference, or ``"torch"``/
-        ``"cupy"``/``"array_api_strict"``.  Offered with signature
-        filtering, like every other tuning knob: backend-aware solvers
-        (see :func:`~repro.ot.registry.backend_support`) receive it,
-        the scipy-bound ones (``"lp"``, ``"simplex"``, ...) ignore it.
+        (:func:`repro.core.backend.get_backend`): ``None`` for the
+        bit-identical numpy reference, or ``"array_api_strict"`` for the
+        conformance run.  Offered with signature filtering, like every
+        other tuning knob: solvers whose signature takes ``backend``
+        (``"exact"`` and the entropic kernels) receive it, the
+        scipy-bound ones (``"lp"``, ``"simplex"``, ...) ignore it.
         Unknown backend names fail fast regardless of the solver.
     **opts:
         Forwarded verbatim to the resolved solver (e.g. ``epsilon`` for
@@ -303,7 +303,7 @@ def solve_many(problems, *, method="auto", executor=None, backend=None,
     ``backend`` selects the compute backend for the vectorised kernels
     (see :func:`solve`); the whole batch then iterates as backend array
     operations — the monotone staircase and the stacked Sinkhorn
-    kernels run end-to-end on the device and convert to NumPy/CSR only
+    kernels run end-to-end on the backend and convert to NumPy/CSR only
     at the :class:`~repro.ot.coupling.TransportPlan` boundary.  Like on
     the facade, the knob is signature-filtered per solver, and the spec
     (a plain string) — not a live backend object — is what travels to

@@ -1,33 +1,34 @@
-"""Conformance suite for the pluggable array-API compute backends.
+"""Conformance suite for the array-API compute seam.
 
 Two layers of guarantees:
 
-* **Op conformance** — every available backend's operations agree with
-  the numpy reference on the exact op set the OT kernels use
-  (``cumsum``, stable ``argsort``, ``take_along_axis``,
-  ``searchsorted``, the ``einsum`` contraction patterns, ``logsumexp``,
-  reductions, scalar-operand elementwise ops, ...).
-* **Kernel conformance** — the refactored kernels themselves
+* **Op conformance** — every backend's operations agree with the numpy
+  reference on the exact op set the OT kernels use (``cumsum``, stable
+  ``argsort``, ``take_along_axis``, the ``einsum`` contraction
+  patterns, ``logsumexp``, reductions, scalar-operand elementwise ops,
+  ...).
+* **Kernel conformance** — the kernels themselves
   (``batched_north_west_corner``, serial and batched Sinkhorn, the
   ``exact`` solver) produce backend-independent results: bit-identical
   on numpy, within tolerance elsewhere.
 
-The ``numpy`` backend always runs.  ``array_api_strict`` (the CI
-conformance namespace), ``torch`` and ``cupy`` are parametrised in and
-**skip** unless importable — CI installs ``array-api-strict`` (and
-attempts torch-cpu) so the whole suite exercises at least one
-non-numpy namespace on every PR.
+The ``numpy`` backend always runs.  ``array_api_numpy`` runs the
+:class:`ArrayAPIBackend` adapter over numpy's main namespace, which
+implements the standard from numpy 2 on.  ``array_api_strict`` (the
+namespace that rejects everything outside the standard) skips unless
+importable; CI installs it.
 """
 
 from __future__ import annotations
+
+import importlib.util
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp as scipy_logsumexp
 
-from repro.core.backend import (ArrayBackend, BACKEND_NAMES, NumpyBackend,
-                                available_backends, get_backend,
-                                register_array_backend)
+from repro.core.backend import (ArrayAPIBackend, ArrayBackend,
+                                NumpyBackend, get_backend)
 from repro.exceptions import ValidationError
 from repro.ot import OTProblem, solve
 from repro.ot.onedim import batched_north_west_corner, north_west_corner
@@ -35,67 +36,44 @@ from repro.ot.sinkhorn import (batched_sinkhorn, batched_sinkhorn_log,
                                sinkhorn, sinkhorn_log)
 
 
-def backend_params():
-    """One param per registered backend; unavailable ones skip."""
-    params = []
-    for name in BACKEND_NAMES:
-        try:
-            get_backend(name)
-            marks = ()
-        except ValidationError:
-            marks = (pytest.mark.skip(
-                reason=f"backend {name!r} not installed"),)
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
+HAS_STRICT = importlib.util.find_spec("array_api_strict") is not None
 
 
-@pytest.fixture(params=backend_params())
+@pytest.fixture(params=[
+    pytest.param("numpy", id="numpy"),
+    pytest.param("array_api_numpy", id="array_api_numpy",
+                 marks=pytest.mark.skipif(
+                     not hasattr(np, "__array_namespace_info__"),
+                     reason="numpy < 2 lacks the array-API namespace")),
+    pytest.param("array_api_strict", id="array_api_strict",
+                 marks=pytest.mark.skipif(
+                     not HAS_STRICT,
+                     reason="array_api_strict not installed")),
+])
 def nx(request) -> ArrayBackend:
+    if request.param == "array_api_numpy":
+        return ArrayAPIBackend(np, name="array_api_numpy")
     return get_backend(request.param)
 
 
-class TestRegistry:
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_backends()
-
-    def test_default_and_auto_resolve_to_numpy(self):
+class TestGetBackend:
+    def test_default_resolves_to_numpy(self):
         assert get_backend().name == "numpy"
-        assert get_backend("auto").name == "numpy"
         assert get_backend(None) is get_backend("numpy")  # singleton
 
     def test_instance_passthrough(self):
         instance = NumpyBackend()
         assert get_backend(instance) is instance
 
-    def test_unknown_name_fails_with_choices(self):
+    @pytest.mark.parametrize("spec", ["no-such-backend", "auto", 42])
+    def test_unknown_spec_fails_with_choices(self, spec):
         with pytest.raises(ValidationError, match="unknown backend"):
-            get_backend("no-such-backend")
+            get_backend(spec)
 
-    def test_unresolvable_spec_type_rejected(self):
-        with pytest.raises(ValidationError, match="cannot resolve"):
-            get_backend(42)
-
-    def test_register_array_backend_plugin(self):
-        class Plugin(NumpyBackend):
-            name = "test-plugin-backend"
-
-        register_array_backend("test-plugin-backend", Plugin,
-                               overwrite=True)
-        assert get_backend("test-plugin-backend").name == \
-            "test-plugin-backend"
-        assert "test-plugin-backend" in available_backends()
-        with pytest.raises(ValidationError, match="already registered"):
-            register_array_backend("test-plugin-backend", Plugin)
-
-    def test_unavailable_factory_reports_import_error(self):
-        def factory():
-            raise ImportError("no such device library")
-
-        register_array_backend("test-unavailable-backend", factory,
-                               overwrite=True)
-        with pytest.raises(ValidationError, match="not available"):
-            get_backend("test-unavailable-backend")
-        assert "test-unavailable-backend" not in available_backends()
+    @pytest.mark.skipif(HAS_STRICT, reason="array_api_strict installed")
+    def test_missing_strict_package_is_named(self):
+        with pytest.raises(ValidationError, match="array-api-strict"):
+            get_backend("array_api_strict")
 
 
 class TestOpConformance:
@@ -125,17 +103,14 @@ class TestOpConformance:
             nx.to_numpy(nx.arange(2, 7, dtype=nx.int64)), np.arange(2, 7))
 
     def test_structure_ops(self, nx, rng):
-        a, b = rng.normal(size=(2, 5))
-        stacked = nx.stack([nx.asarray(a, dtype=nx.float64),
-                            nx.asarray(b, dtype=nx.float64)])
-        np.testing.assert_array_equal(nx.to_numpy(stacked),
-                                      np.stack([a, b]))
-        joined = nx.concat([stacked, stacked], axis=1)
+        values = rng.normal(size=(2, 5))
+        arr = nx.asarray(values, dtype=nx.float64)
+        joined = nx.concat([arr, arr], axis=1)
         assert tuple(joined.shape) == (2, 10)
         reshaped = nx.reshape(joined, (4, 5))
         np.testing.assert_array_equal(
             nx.to_numpy(reshaped),
-            np.concatenate([np.stack([a, b])] * 2, axis=1).reshape(4, 5))
+            np.concatenate([values] * 2, axis=1).reshape(4, 5))
 
     def test_cumsum(self, nx, rng):
         values = rng.normal(size=(3, 6))
@@ -163,17 +138,6 @@ class TestOpConformance:
                                          dtype=nx.int64), axis=0)
         np.testing.assert_array_equal(nx.to_numpy(picked),
                                       values[[2, 0]])
-
-    def test_searchsorted(self, nx):
-        haystack = nx.asarray(np.array([0.0, 1.0, 1.0, 3.0]),
-                              dtype=nx.float64)
-        needles = nx.asarray(np.array([0.5, 1.0, 4.0]), dtype=nx.float64)
-        for side in ("left", "right"):
-            got = nx.to_numpy(nx.searchsorted(haystack, needles,
-                                              side=side))
-            np.testing.assert_array_equal(
-                got, np.searchsorted([0.0, 1.0, 1.0, 3.0],
-                                     [0.5, 1.0, 4.0], side=side))
 
     @pytest.mark.parametrize("pattern,shapes", [
         ("bij,bj->bi", ((3, 4, 5), (3, 5))),
@@ -219,23 +183,18 @@ class TestOpConformance:
         np.testing.assert_allclose(
             nx.to_numpy(nx.minimum(arr, 0.1)),
             np.minimum(values, 0.1), atol=1e-15)
-        np.testing.assert_allclose(
-            nx.to_numpy(nx.power(nx.abs(arr), 2.0)),
-            np.abs(values) ** 2.0, atol=1e-12)
+        np.testing.assert_array_equal(nx.to_numpy(nx.abs(arr)),
+                                      np.abs(values))
         np.testing.assert_allclose(nx.to_numpy(nx.exp(arr)),
                                    np.exp(values), atol=1e-12)
         np.testing.assert_allclose(
             nx.to_numpy(nx.log(nx.abs(arr))),
             np.log(np.abs(values)), atol=1e-12)
 
-    def test_where_and_logical(self, nx):
+    def test_logical(self, nx):
         values = np.array([[1.0, -2.0, 3.0]])
         arr = nx.asarray(values, dtype=nx.float64)
         mask = arr > 0.0
-        np.testing.assert_array_equal(
-            nx.to_numpy(nx.where(mask, arr, nx.zeros((1, 3),
-                                                     dtype=nx.float64))),
-            np.where(values > 0, values, 0.0))
         other = nx.asarray(np.array([[True, True, False]]),
                            dtype=nx.bool)
         np.testing.assert_array_equal(
@@ -264,14 +223,11 @@ class TestOpConformance:
         np.testing.assert_allclose(
             nx.to_numpy(nx.max(arr, axis=(1, 2))),
             values.max(axis=(1, 2)), atol=1e-15)
-        np.testing.assert_allclose(
-            nx.to_numpy(nx.min(arr, axis=1)), values.min(axis=1),
-            atol=1e-15)
-        assert nx.scalar(nx.max(arr)) == pytest.approx(values.max())
+        assert float(nx.to_numpy(nx.max(arr))) == values.max()
 
 
 class TestKernelConformance:
-    """The refactored OT kernels run correctly on every backend."""
+    """The OT kernels run correctly on every backend."""
 
     def test_batched_north_west_corner(self, nx, rng):
         mu = rng.dirichlet(np.ones(9), size=5)

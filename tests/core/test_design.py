@@ -128,45 +128,27 @@ class TestDesignRepair:
         assert plan.metadata["solver"] == "exact"
         assert plan.metadata["n_research"] == len(paper_split.research)
         assert plan.metadata["marginal_estimator"] == "kde"
-        assert plan.metadata["backend"] == "numpy"  # the resolved default
 
-    def test_backend_threads_through_and_is_recorded(self, paper_split):
+    def test_backend_reaches_the_solves_through_solver_opts(self,
+                                                             paper_split):
+        from repro.core.backend import NumpyBackend
+
+        calls = []
+
+        class Probe(NumpyBackend):
+            def cumsum(self, x, axis):
+                calls.append(axis)
+                return super().cumsum(x, axis)
+
         default = design_repair(paper_split.research, 20)
         explicit = design_repair(paper_split.research, 20,
-                                 backend="numpy")
-        assert explicit.metadata["backend"] == "numpy"
+                                 solver_opts={"backend": Probe()})
+        assert calls, "the exact kernel never ran on the given backend"
         for key, feature_plan in default.feature_plans.items():
             for s, transport in feature_plan.transports.items():
                 np.testing.assert_array_equal(
                     explicit.feature_plans[key].transports[s].toarray(),
                     transport.toarray())
-
-    def test_unknown_backend_fails_before_designing(self, paper_split):
-        with pytest.raises(ValidationError, match="backend"):
-            design_repair(paper_split.research, 20, backend="bogus")
-
-    def test_backend_metadata_honest_for_unaware_solvers(self,
-                                                        paper_split):
-        """A solver that drops the backend knob must not record the
-        requested backend as compute provenance."""
-        plan = design_repair(paper_split.research, 20, solver="lp",
-                             backend="numpy")
-        assert plan.metadata["backend"] == "numpy"
-        from repro.core.backend import register_array_backend
-        from repro.core.backend import NumpyBackend
-
-        class Probe(NumpyBackend):
-            name = "test-probe-backend"
-
-        register_array_backend("test-probe-backend", Probe,
-                               overwrite=True)
-        plan = design_repair(paper_split.research, 20, solver="lp",
-                             backend="test-probe-backend")
-        # lp never saw (or ran on) the probe backend.
-        assert plan.metadata["backend"] == "numpy"
-        aware = design_repair(paper_split.research, 20, solver="exact",
-                              backend="test-probe-backend")
-        assert aware.metadata["backend"] == "test-probe-backend"
 
     def test_per_cell_resolutions(self, paper_split):
         states = {(u, k): 10 + 5 * u + k for u in (0, 1) for k in (0, 1)}

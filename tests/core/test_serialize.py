@@ -213,6 +213,16 @@ class TestErrors:
         with pytest.raises((DataError, Exception)):
             load_plan(written)
 
+    @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("content", [b"", b"garbage"],
+                             ids=["empty", "garbage"])
+    def test_non_zip_file_rejected(self, tmp_path, content, mmap):
+        path = tmp_path / "plan.npz"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match="not a zip file") as info:
+            load_plan(path, mmap=mmap)
+        assert "pickle" not in str(info.value)
+
 
 class TestNonBinaryLabels:
     """``s`` encodings other than {0, 1} must round-trip (the v1 loader

@@ -43,6 +43,24 @@ class TestConstruction:
         data = FairnessDataset(np.zeros((3, 1)), [0, 1, 0], [0, 1, 2])
         np.testing.assert_array_equal(data.u_values, [0, 1, 2])
 
+    @pytest.mark.parametrize("labels", [
+        {"s": [0.5, 1]}, {"s": [0, 1.9]}, {"u": [2.5, 0]},
+        {"y": [0.5, 1]}, {"s": [np.nan, 1]},
+    ], ids=["s=0.5", "s=1.9", "u=2.5", "y=0.5", "s=nan"])
+    def test_fractional_or_nan_labels_rejected(self, labels):
+        # Truncating them would repair the row with another group's plan.
+        kwargs = {"s": [0, 1], "u": [0, 0], **labels}
+        with pytest.raises(DataError, match="whole numbers"):
+            FairnessDataset(np.zeros((2, 1)), **kwargs)
+
+    def test_whole_float_labels_accepted(self):
+        data = FairnessDataset(np.zeros((2, 1)), np.array([0.0, 1.0]),
+                               np.array([2.0, 0.0]), y=np.array([1.0, 0.0]))
+        for labels, expected in ((data.s, [0, 1]), (data.u, [2, 0]),
+                                 (data.y, [1, 0])):
+            assert labels.dtype.kind == "i"
+            np.testing.assert_array_equal(labels, expected)
+
 
 class TestSubsetting:
     def test_take_preserves_everything(self, tiny_dataset):

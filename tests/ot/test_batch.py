@@ -497,15 +497,6 @@ class TestBackendThreading:
         with pytest.raises(ValidationError, match="unknown backend"):
             solve(problems[0], method="lp", backend="no-such-device")
 
-    def test_backend_support_introspection(self):
-        from repro.ot import backend_support
-
-        support = backend_support()
-        for name in ("exact", "sinkhorn", "sinkhorn_log", "auto"):
-            assert support[name] is True, name
-        for name in ("simplex", "lp", "screened", "multiscale"):
-            assert support[name] is False, name
-
 
 # -- property-based: batch invariance of the exact solver ---------------------
 

@@ -123,6 +123,13 @@ class TestRepairEndpoint:
         with pytest.raises(DataError, match="400"):
             post_json(server.url + "/repair", {"features": "garbage"})
 
+    def test_fractional_labels_map_to_400(self, designed, server):
+        _, queries = designed
+        payload = repair_payload(queries.take([0, 1]), seed=0)
+        payload["s"], payload["u"] = [0.5, 0.99], [0.2, 1.7]
+        with pytest.raises(DataError, match="400"):
+            post_json(server.url + "/repair", payload)
+
 
 def _raw_post(url: str, headers: bytes):
     """Send a bodiless ``POST /repair`` with ``headers`` on a raw socket

@@ -186,6 +186,10 @@ class TestRequestPayloads:
         ({"features": [[1.0]], "s": [0], "u": [0], "seed": True}, "seed"),
         ({"features": [[np.nan]], "s": [0], "u": [0]}, "invalid"),
         ({"features": [[1.0], [2.0]], "s": [0], "u": [0]}, "invalid"),
+        ({"features": [[1.0], [2.0]], "s": [0.5, 0.99], "u": [0, 1]},
+         "whole numbers"),
+        ({"features": [[1.0], [2.0]], "s": [0, 1], "u": [0.2, 1.7]},
+         "whole numbers"),
     ])
     def test_bad_payloads_rejected(self, payload, match):
         with pytest.raises(DataError, match=match):

@@ -65,6 +65,13 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no feature columns"):
             read_csv_dataset(path)
 
+    def test_float_typed_whole_labels_load(self, tmp_path):
+        path = tmp_path / "floats.csv"
+        path.write_text("x0,s,u\n1.0,0.0,1.0\n2.0,1.0,0.0\n")
+        loaded = read_csv_dataset(path)
+        np.testing.assert_array_equal(loaded.s, [0, 1])
+        np.testing.assert_array_equal(loaded.u, [1, 0])
+
 
 class TestParser:
     def test_all_subcommands_present(self):
@@ -159,12 +166,30 @@ class TestCommands:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_design_rejects_fractional_labels(self, tmp_path, capsys):
+        path = tmp_path / "half.csv"
+        path.write_text("x0,s,u\n1.0,0.5,0\n2.0,1,0\n3.0,0,0\n")
+        assert main(["design", str(path), str(tmp_path / "plan.npz"),
+                     "--n-states", "5"]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "plan.npz").exists()
+
     def test_repair_with_missing_plan_fails_cleanly(self, sample_csv,
                                                     tmp_path, capsys):
         data_path, _ = sample_csv
         code = main(["repair", str(tmp_path / "no.npz"),
                      str(data_path), str(tmp_path / "out.csv")])
         assert code == 1
+
+    def test_repair_with_empty_plan_file_fails_cleanly(self, sample_csv,
+                                                       tmp_path, capsys):
+        data_path, _ = sample_csv
+        empty = tmp_path / "empty.npz"
+        empty.write_bytes(b"")
+        code = main(["repair", str(empty), str(data_path),
+                     str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -189,25 +214,7 @@ class TestExperimentCommand:
             assert args.artefact == artefact
 
 
-class TestBackendAndDtypeFlags:
-    def test_design_backend_flag_recorded_in_metadata(self, sample_csv,
-                                                      tmp_path, capsys):
-        data_path, _ = sample_csv
-        plan_path = tmp_path / "plan.npz"
-        assert main(["design", str(data_path), str(plan_path),
-                     "--n-states", "20", "--backend", "numpy"]) == 0
-        assert "backend numpy" in capsys.readouterr().out
-        from repro.core.serialize import load_plan
-        assert load_plan(plan_path).metadata["backend"] == "numpy"
-
-    def test_design_rejects_unknown_backend_before_reading_csv(
-            self, tmp_path, capsys):
-        assert main(["design", str(tmp_path / "absent.csv"),
-                     str(tmp_path / "plan.npz"),
-                     "--backend", "not-a-backend"]) == 1
-        err = capsys.readouterr().err
-        assert "unknown backend" in err
-
+class TestDtypeFlags:
     def test_design_plan_dtype_float32_round_trips(self, sample_csv,
                                                    tmp_path, capsys):
         data_path, _ = sample_csv
@@ -226,11 +233,6 @@ class TestBackendAndDtypeFlags:
         assert main(["repair", str(plan_path), str(data_path),
                      str(out_path), "--seed", "1"]) == 0
         assert out_path.exists()
-
-    def test_backends_command_lists_numpy(self, capsys):
-        assert main(["backends"]) == 0
-        output = capsys.readouterr().out
-        assert "numpy (default)" in output
 
 
 class TestSolversCommand:

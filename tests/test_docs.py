@@ -64,7 +64,7 @@ def test_backend_module_doctests():
 def test_readme_exists_and_covers_the_basics():
     readme = (REPO_ROOT / "README.md").read_text()
     for needle in ("pip install", "repro.ot", "DistributionalRepairer",
-                   "--n-jobs", "--sparse-plans", "--backend",
+                   "--n-jobs", "--sparse-plans",
                    "solve_many", "benchmarks/results", "repro serve",
                    "--plan-shard", "BackgroundServer"):
         assert needle in readme, f"README.md lost its {needle!r} section"
@@ -119,28 +119,6 @@ def test_solvers_doc_batched_column_matches_registry():
         f"batch_support(): doc says {documented}, registry says {live}")
 
 
-def test_solvers_doc_backend_column_matches_registry():
-    """The table's *Backend-aware* column mirrors
-    ``repro.ot.backend_support()``."""
-    table = (DOCS_DIR / "solvers.md").read_text()
-    documented = {}
-    for line in table.splitlines():
-        match = re.match(r"^\| `([a-z_0-9]+)` \|", line)
-        if not match:
-            continue
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        assert len(cells) >= 7, f"row {match.group(1)} lost its columns"
-        backend_cell = cells[5].lower()
-        assert backend_cell.startswith(("yes", "no")), (
-            f"row {match.group(1)}: Backend-aware column must start with "
-            f"yes/no, got {cells[5]!r}")
-        documented[match.group(1)] = backend_cell.startswith("yes")
-    live = repro.ot.backend_support()
-    assert documented == live, (
-        f"docs/solvers.md Backend-aware column out of sync with "
-        f"backend_support(): doc says {documented}, registry says {live}")
-
-
 def test_architecture_doc_matches_code():
     """Spot-check that docs/architecture.md names real things."""
     doc = (DOCS_DIR / "architecture.md").read_text()
@@ -165,15 +143,12 @@ def test_architecture_doc_matches_code():
     for name in EXECUTOR_NAMES:
         assert f"`{name}`" in doc, f"architecture.md lost executor {name}"
     assert "resolve_executor" in doc
-    # The compute-backend section names the real registry surface.
+    # The compute-backend section names the real backend surface.
     import repro.core.backend as backend_module
-    for name in ("get_backend", "available_backends", "ArrayBackend",
-                 "register_array_backend"):
+    for name in ("get_backend", "ArrayBackend", "NumpyBackend",
+                 "ArrayAPIBackend"):
         assert name in doc, f"architecture.md lost backend API {name}"
         assert hasattr(backend_module, name)
-    from repro.core.backend import BACKEND_NAMES
-    for name in BACKEND_NAMES:
-        assert f"`{name}`" in doc, f"architecture.md lost backend {name}"
     # The serving-tier section names the real repro.serve surface.
     import repro.serve as serve_module
     assert "repro.serve" in doc
