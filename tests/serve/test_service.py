@@ -9,6 +9,7 @@ from repro.core.design import design_repair
 from repro.core.repair import repair_dataset
 from repro.core.serialize import save_plan
 from repro.data.dataset import FairnessDataset
+from repro.density.grid import GUESS_CROSSOVER
 from repro.exceptions import DataError, ValidationError
 from repro.serve.service import RepairRequest, RepairService
 
@@ -66,6 +67,44 @@ class TestBitIdentity:
         stats = service.stats()
         # Cells shared by several requests dispatched once, not thrice.
         assert stats["cell_items"] > stats["cell_dispatches"]
+
+    @pytest.mark.parametrize("rounding,output", [
+        ("stochastic", "sample"),
+        ("nearest", "sample"),
+        ("stochastic", "barycentric"),
+        ("stochastic", "interpolated"),
+    ])
+    def test_merged_dispatch_past_the_crossover(self, rounding, output):
+        # Requests of 400+ rows whose cells merge past GUESS_CROSSOVER,
+        # so the merged dispatch runs the guess-and-check kernels; the
+        # offline references run them only where a request's own cell
+        # crosses (the 1,200-row one), and the binary search elsewhere.
+        rng = np.random.default_rng(11)
+        n = 2650
+        u = rng.integers(0, 2, size=n)
+        s = rng.integers(0, 2, size=n)
+        features = (rng.normal(size=(n, 2)) + s[:, None] * 0.8
+                    + u[:, None] * 0.3)
+        plan = design_repair(FairnessDataset(features[:600], s[:600],
+                                             u[:600]), 40, t=0.5)
+        bounds = (600, 1000, 1450, 2650)
+        subsets = [FairnessDataset(features[a:b], s[a:b], u[a:b])
+                   for a, b in zip(bounds, bounds[1:])]
+        cells = [np.bincount(2 * d.u + d.s, minlength=4) for d in subsets]
+        assert min(c.min() for c in cells) < GUESS_CROSSOVER
+        assert max(c.min() for c in cells) >= GUESS_CROSSOVER
+        assert sum(cells).min() >= GUESS_CROSSOVER
+        service = RepairService(plan, rounding=rounding, output=output)
+        requests = [RepairRequest(subset, np.random.default_rng(seed))
+                    for seed, subset in enumerate(subsets)]
+        results = service.repair_many(requests)
+        assert service.stats()["cell_dispatches"] == 4 * plan.n_features
+        for seed, (got, subset) in enumerate(zip(results, subsets)):
+            reference = repair_dataset(
+                subset, plan, rng=np.random.default_rng(seed),
+                rounding=rounding, output=output).features
+            np.testing.assert_array_equal(got.view(np.uint64),
+                                          reference.view(np.uint64))
 
     def test_batched_equals_sequential(self, designed):
         plan, queries = designed
