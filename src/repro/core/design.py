@@ -116,10 +116,10 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
     sparse_plans:
         Plan-storage policy: ``False`` (default — keep whatever storage
         the solver produced: the default ``"exact"`` solver returns its
-        ``O(n_Q)``-support monotone plans as CSR and the screened
-        hybrid returns CSR below
+        ``O(n_Q)``-support monotone plans as CSR, the simplex and the
+        screened hybrid return CSR below
         :data:`~repro.ot.coupling.SPARSE_DENSITY_THRESHOLD` density,
-        while the simplex, LP and entropic solvers return dense plans),
+        while the LP and entropic solvers return dense plans),
         ``True`` (convert every plan to CSR), or ``"auto"`` (convert
         dense plans whose density is at most that threshold).
     """

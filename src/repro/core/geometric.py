@@ -58,8 +58,9 @@ def geometric_repair_multivariate(samples0, samples1, t: float = 0.5
                                   ) -> tuple[np.ndarray, np.ndarray]:
     """Eqs. 8-9 on full feature vectors (squared-Euclidean plan).
 
-    Couples the two empirical measures with the transportation simplex;
-    cubic in the subgroup sizes, so intended for modest research sets.
+    Couples the two empirical measures exactly with the network simplex
+    over all ``n_0 · n_1`` sample pairs, so time and memory grow at
+    least with that product; intended for modest research sets.
     """
     t = check_probability(t, name="t")
     xs0 = np.asarray(samples0, dtype=float)

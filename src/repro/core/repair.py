@@ -350,7 +350,8 @@ class DistributionalRepairer:
         bit-identical to the serial design.
     sparse_plans:
         Plan-storage policy: ``False`` (keep whatever the solver
-        produced — CSR for the default ``"exact"``), ``True`` (force
+        produced — CSR for the default ``"exact"``, and for
+        ``"simplex"`` below the density threshold), ``True`` (force
         CSR), or ``"auto"`` (CSR when the plan density is below the
         threshold).
     rng:

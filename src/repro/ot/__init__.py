@@ -17,8 +17,8 @@ registered name (``available_solvers()`` lists them), a bare callable, or
 a :class:`~repro.ot.registry.Solver`.  New solvers plug in with the
 :func:`~repro.ot.registry.register_solver` decorator — no core changes
 needed.  ``method="auto"`` dispatches on problem structure: the
-closed-form monotone coupling for 1-D convex costs, the dense simplex for
-small problems, the HiGHS LP for medium ones, and the Sinkhorn-screened
+closed-form monotone coupling for 1-D convex costs, the network simplex
+for small problems, the HiGHS LP for medium ones, and the Sinkhorn-screened
 sparse hybrid (``"screened"``) for large supports.
 
 Modules
@@ -30,8 +30,8 @@ Modules
 * :mod:`~repro.ot.cost` — ground-cost matrices (``L_p^p`` family).
 * :mod:`~repro.ot.coupling` — :class:`TransportPlan` container.
 * :mod:`~repro.ot.onedim` — closed-form 1-D OT (monotone couplings).
-* :mod:`~repro.ot.network_simplex` — exact general solvers (dense
-  MODI simplex + sparse arc-list network simplex with warm starts).
+* :mod:`~repro.ot.network_simplex` — the exact general solver (sparse
+  arc-list network simplex with warm starts).
 * :mod:`~repro.ot.lp` — scipy ``linprog`` oracle.
 * :mod:`~repro.ot.sinkhorn` — entropic OT.
 * :mod:`~repro.ot.multiscale` — coarsen-solve-refine sparse hybrid.

@@ -11,10 +11,11 @@ Storage is dual-mode: the plan matrix is either a dense ``(n, m)`` array or
 a CSR sparse array (:class:`scipy.sparse.csr_array`).  Exact monotone
 plans are staircases with at most ``n + m - 1`` non-zeros, and the
 ``"exact"`` solver emits them as CSR straight from its kernel, so no
-``(n, m)`` array exists anywhere on the default path.  Screened plans are
-CSR below :data:`SPARSE_DENSITY_THRESHOLD` density; entropic and simplex
-plans are dense.  Every operation below (conditionals, barycentric
-projection, inverse-CDF sampling) has a sparse path that never densifies.
+``(n, m)`` array exists anywhere on the default path.  Simplex and
+screened plans are CSR below :data:`SPARSE_DENSITY_THRESHOLD` density;
+entropic and LP plans are dense.  Every operation below (conditionals,
+barycentric projection, inverse-CDF sampling) has a sparse path that
+never densifies.
 Build sparse plans explicitly with :meth:`TransportPlan.from_sparse` or
 convert with :meth:`TransportPlan.to_sparse` /
 :meth:`TransportPlan.to_dense`.

@@ -85,7 +85,6 @@ from scipy import sparse
 from .._validation import check_positive_int
 from ..density.grid import InterpolationGrid
 from ..exceptions import ValidationError
-from .cost import pointwise_cost
 from .coupling import SPARSE_DENSITY_THRESHOLD, dilate_mask, refine_mask
 from .network_simplex import NetworkSimplexState, refine_state
 from .onedim import north_west_corner_support
@@ -93,8 +92,8 @@ from .problem import OTProblem, OTResult, result_from_matrix
 from .registry import register_solver
 # Importing .solve here also registers the built-in solvers before
 # "multiscale", keeping the registry's listing order intuitive.
-from .solve import (RESTRICTED_ENGINES, _banded_certifiable,
-                    _restricted_exact_entries, solve)
+from .solve import (RESTRICTED_ENGINES, _arc_cost_entries,
+                    _banded_certifiable, _restricted_exact_entries, solve)
 
 __all__ = ["coarsen_problem", "default_coarsen_factor",
            "PYRAMID_LEAF_SIZE"]
@@ -469,7 +468,7 @@ def _refine_level(problem: OTProblem, coarse_result: OTResult,
         if isinstance(coarse_state, NetworkSimplexState):
             init = refine_state(coarse_state, source_bins, target_bins,
                                 mu, nu)
-    cost_values = _cost_entries(problem, rows, cols)
+    cost_values = _arc_cost_entries(problem, rows, cols)
     matrix, nit, value, state, engine_used = _restricted_exact_entries(
         cost_values, rows, cols, (n, m), mu, nu,
         engine=engine, init=init, sparse_output=True,
@@ -582,21 +581,3 @@ def _sparse_refined_support(coarse_result: OTResult,
     keys = np.unique(np.concatenate([rows, nw_rows]).astype(np.int64) * m
                      + np.concatenate([cols, nw_cols]))
     return keys // m, keys % m
-
-
-def _cost_entries(problem: OTProblem, rows: np.ndarray,
-                  cols: np.ndarray) -> np.ndarray:
-    """Ground-cost values at the ``(rows, cols)`` support entries.
-
-    Metric-family costs are evaluated pointwise on the supports
-    (:func:`repro.ot.cost.pointwise_cost`, sharing :meth:`OTProblem.
-    metric`'s name resolution with :meth:`OTProblem.cost_matrix`), so
-    the dense fine cost matrix is never built; explicit and callable
-    costs fall back to indexing the (cached) matrix.
-    """
-    metric = problem.metric
-    if metric is not None:
-        return pointwise_cost(problem.source_support[rows],
-                              problem.target_support[cols],
-                              metric=metric, p=problem.p)
-    return problem.cost_matrix()[rows, cols]

@@ -1,35 +1,31 @@
-"""Exact discrete optimal transport via the transportation simplex.
+"""Exact discrete optimal transport via the network simplex.
 
 Solves the balanced Kantorovich linear programme
 
     min_π  <C, π>   s.t.  π 1 = µ,  πᵀ 1 = ν,  π >= 0
 
-with two engines:
+with one engine, a **sparse arc-list network simplex**
+(:func:`network_simplex_arcs`, registered as ``"simplex"`` with the
+aliases ``"network_simplex"`` and ``"netsimplex"``).  It works on an
+explicit list of allowed coupling entries ``(rows, cols, costs)``
+instead of a dense cost matrix, keeps a spanning-tree basis over the
+bipartite arc graph plus an artificial root node, prices reduced costs
+only on the given arcs with block/candidate-list pricing, falls back to
+Bland's rule under degeneracy, and supports **warm starts** from a
+previous basis (:class:`NetworkSimplexState`, returned on every solve
+and accepted via ``init=``).  The same engine runs full-product solves,
+masked solves, and the restricted solves of the ``"screened"`` and
+``"multiscale"`` sparse hybrids.
 
-* the classical **dense** primal transportation simplex (MODI / u-v
-  method) behind the registered ``"simplex"`` solver: north-west-corner
-  start, potentials from the spanning-tree basis, pivot along the unique
-  tree cycle;
-* a **sparse arc-list network simplex** (:func:`network_simplex_arcs`,
-  registered as ``"network_simplex"``) that works on an explicit list of
-  allowed coupling entries ``(rows, cols, costs)`` instead of a dense
-  cost matrix.  It keeps a spanning-tree basis over the bipartite arc
-  graph plus an artificial root node, prices reduced costs only on the
-  given arcs with block/candidate-list pricing, falls back to Bland's
-  rule under degeneracy, and supports **warm starts** from a previous
-  basis (:class:`NetworkSimplexState`, returned on every solve and
-  accepted via ``init=``).  This is the restricted-LP engine behind the
-  ``"screened"`` and ``"multiscale"`` sparse hybrids.
-
-Both are implemented from first principles (no external OT library) and
+It is implemented from first principles (no external OT library) and
 cross-checked in the test-suite against a ``scipy.linprog`` oracle
-(:mod:`repro.ot.lp`); the sparse engine additionally carries a
-hypothesis-driven differential suite
+(:mod:`repro.ot.lp`), including a hypothesis-driven differential suite
 (``tests/ot/test_network_simplex_diff.py``).
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,8 +36,6 @@ from .coupling import TransportPlan
 
 __all__ = ["solve_transport", "transport_simplex", "NetworkSimplexState",
            "network_simplex_arcs", "refine_state"]
-
-_MASS_TOL = 1e-13
 
 
 def transport_simplex(cost: np.ndarray, source_weights, target_weights, *,
@@ -58,14 +52,17 @@ def transport_simplex(cost: np.ndarray, source_weights, target_weights, *,
     source_weights, target_weights:
         Marginals; normalised to probability vectors (the LP is invariant to
         common rescaling).
-    max_iter:
-        Pivot budget; defaults to ``50 * (n + m)`` which is generous for the
-        problem sizes this library produces.
+    max_iter, tol:
+        Pivot budget and optimality tolerance of
+        :func:`network_simplex_arcs`.
+
+    The plan is returned as a dense ``(n, m)`` array whatever storage
+    the solver chose.
     """
     from .solve import solve
     _check_legacy_shapes(cost, source_weights, target_weights)
     return solve(cost, source_weights, target_weights, method="simplex",
-                 max_iter=max_iter, tol=tol).matrix
+                 max_iter=max_iter, tol=tol).plan.toarray()
 
 
 def solve_transport(cost: np.ndarray, source_weights, target_weights,
@@ -103,227 +100,6 @@ def _check_legacy_shapes(cost, source_weights, target_weights) -> None:
             f"({mu.size}, {nu.size})")
 
 
-def _transport_simplex_core(cost, source_weights, target_weights, *,
-                            max_iter: int | None = None,
-                            tol: float = 1e-10) -> tuple[np.ndarray, int]:
-    """The actual MODI iteration; returns ``(plan, pivots_performed)``."""
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValidationError(f"cost must be 2-D, got shape {cost.shape}")
-    mu = as_probability_vector(source_weights, name="source_weights",
-                               normalize=True)
-    nu = as_probability_vector(target_weights, name="target_weights",
-                               normalize=True)
-    n, m = cost.shape
-    if mu.size != n or nu.size != m:
-        raise InfeasibleProblemError(
-            f"cost shape {cost.shape} incompatible with marginal sizes "
-            f"({mu.size}, {nu.size})")
-    if max_iter is None:
-        max_iter = 50 * (n + m)
-
-    plan, basis = _north_west_start(mu, nu)
-    _complete_degenerate_basis(basis, n, m)
-
-    for pivots in range(max_iter):
-        potentials_u, potentials_v = _solve_potentials(cost, basis, n, m)
-        reduced = cost - potentials_u[:, None] - potentials_v[None, :]
-        # Basic cells have zero reduced cost by construction; mask them so
-        # numerical noise cannot re-select them.
-        for (bi, bj) in basis:
-            reduced[bi, bj] = 0.0
-        enter = np.unravel_index(np.argmin(reduced), reduced.shape)
-        if reduced[enter] >= -tol:
-            return plan, pivots
-        _pivot(plan, basis, enter, n, m)
-    raise ConvergenceError(
-        "transportation simplex exceeded its pivot budget",
-        iterations=max_iter)
-
-
-# -- internals --------------------------------------------------------------
-
-
-def _north_west_start(mu: np.ndarray,
-                      nu: np.ndarray) -> tuple[np.ndarray, set]:
-    """North-west-corner initial BFS plus the set of basic cells."""
-    n, m = mu.size, nu.size
-    plan = np.zeros((n, m))
-    basis: set[tuple[int, int]] = set()
-    remaining_mu = mu.copy()
-    remaining_nu = nu.copy()
-    i = j = 0
-    while i < n and j < m:
-        mass = min(remaining_mu[i], remaining_nu[j])
-        plan[i, j] = mass
-        basis.add((i, j))
-        remaining_mu[i] -= mass
-        remaining_nu[j] -= mass
-        row_done = remaining_mu[i] <= _MASS_TOL
-        col_done = remaining_nu[j] <= _MASS_TOL
-        if row_done and col_done:
-            # Degenerate step: keep the basis a tree by moving along exactly
-            # one axis; the next cell enters with zero mass.
-            if i + 1 < n:
-                i += 1
-            else:
-                j += 1
-        elif row_done:
-            i += 1
-        else:
-            j += 1
-    return plan, basis
-
-
-def _complete_degenerate_basis(basis: set, n: int, m: int) -> None:
-    """Ensure the basis has exactly ``n + m - 1`` cells and spans all nodes.
-
-    The NW-corner construction above already yields a spanning tree, but we
-    defensively patch any missing coverage with zero cells (can occur for
-    marginals containing exact zeros).
-    """
-    target_size = n + m - 1
-    if len(basis) == target_size:
-        return
-    rows_seen = {i for i, _ in basis}
-    cols_seen = {j for _, j in basis}
-    for i in range(n):
-        if len(basis) >= target_size:
-            break
-        if i not in rows_seen:
-            basis.add((i, next(iter(cols_seen)) if cols_seen else 0))
-            rows_seen.add(i)
-    for j in range(m):
-        if len(basis) >= target_size:
-            break
-        if j not in cols_seen:
-            basis.add((next(iter(rows_seen)) if rows_seen else 0, j))
-            cols_seen.add(j)
-    # Top up with arbitrary non-basic cells that do not close a cycle.
-    i = 0
-    while len(basis) < target_size:
-        for j in range(m):
-            if (i, j) not in basis and not _would_close_cycle(basis, (i, j), n, m):
-                basis.add((i, j))
-                break
-        i = (i + 1) % n
-
-
-def _would_close_cycle(basis: set, cell: tuple[int, int], n: int,
-                       m: int) -> bool:
-    """True if adding ``cell`` connects two already-connected components."""
-    adjacency = _adjacency(basis, n, m)
-    start, goal = ("r", cell[0]), ("c", cell[1])
-    return _path_exists(adjacency, start, goal)
-
-
-def _adjacency(basis: set, n: int, m: int) -> dict:
-    adjacency: dict = {("r", i): [] for i in range(n)}
-    adjacency.update({("c", j): [] for j in range(m)})
-    for (i, j) in basis:
-        adjacency[("r", i)].append(("c", j))
-        adjacency[("c", j)].append(("r", i))
-    return adjacency
-
-
-def _path_exists(adjacency: dict, start, goal) -> bool:
-    seen = {start}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            return True
-        for neighbour in adjacency[node]:
-            if neighbour not in seen:
-                seen.add(neighbour)
-                stack.append(neighbour)
-    return False
-
-
-def _solve_potentials(cost: np.ndarray, basis: set, n: int,
-                      m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node potentials ``u, v`` with ``u_i + v_j = C_ij`` on basic cells.
-
-    The basis is a spanning tree, so fixing ``u_0 = 0`` and propagating by
-    breadth-first search determines every potential uniquely.
-    """
-    potentials_u = np.full(n, np.nan)
-    potentials_v = np.full(m, np.nan)
-    adjacency = _adjacency(basis, n, m)
-    potentials_u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, index = stack.pop()
-        for (nkind, nindex) in adjacency[(kind, index)]:
-            if nkind == "c" and np.isnan(potentials_v[nindex]):
-                potentials_v[nindex] = cost[index, nindex] - potentials_u[index]
-                stack.append(("c", nindex))
-            elif nkind == "r" and np.isnan(potentials_u[nindex]):
-                potentials_u[nindex] = cost[nindex, index] - potentials_v[index]
-                stack.append(("r", nindex))
-    # Disconnected components (possible only with a patched degenerate
-    # basis) get zero potentials; their cells price out on the next pivot.
-    np.nan_to_num(potentials_u, copy=False)
-    np.nan_to_num(potentials_v, copy=False)
-    return potentials_u, potentials_v
-
-
-def _find_cycle(basis: set, enter: tuple[int, int], n: int,
-                m: int) -> list[tuple[int, int]]:
-    """Alternating cycle created by the entering cell in the basis tree.
-
-    Returns the cycle as a list of cells starting with ``enter``; even
-    positions gain mass, odd positions lose mass.
-    """
-    adjacency = _adjacency(basis, n, m)
-    start, goal = ("c", enter[1]), ("r", enter[0])
-    # Depth-first search for the unique tree path goal -> start.
-    parents = {start: None}
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        if node == goal:
-            break
-        for neighbour in adjacency[node]:
-            if neighbour not in parents:
-                parents[neighbour] = node
-                stack.append(neighbour)
-    if goal not in parents:
-        raise ConvergenceError("basis lost connectivity during pivoting")
-
-    path_nodes = [goal]
-    while parents[path_nodes[-1]] is not None:
-        path_nodes.append(parents[path_nodes[-1]])
-    # path_nodes: row(enter) -> ... -> col(enter); consecutive nodes are the
-    # basic cells of the cycle.
-    cycle = [enter]
-    for a, b in zip(path_nodes, path_nodes[1:]):
-        if a[0] == "r":
-            cycle.append((a[1], b[1]))
-        else:
-            cycle.append((b[1], a[1]))
-    return cycle
-
-
-def _pivot(plan: np.ndarray, basis: set, enter: tuple[int, int], n: int,
-           m: int) -> None:
-    """Execute one simplex pivot along the cycle of ``enter``."""
-    cycle = _find_cycle(basis, enter, n, m)
-    minus_cells = cycle[1::2]
-    theta = min(plan[c] for c in minus_cells)
-    leave = min((c for c in minus_cells if plan[c] <= theta + _MASS_TOL),
-                key=lambda c: plan[c])
-    for position, cell in enumerate(cycle):
-        if position % 2 == 0:
-            plan[cell] += theta
-        else:
-            plan[cell] -= theta
-            if plan[cell] < 0.0:
-                plan[cell] = 0.0
-    basis.add(enter)
-    basis.discard(leave)
-
-
 # -- sparse arc-list network simplex ----------------------------------------
 #
 # Bipartite min-cost-flow formulation: source node i (supply mu_i) for
@@ -334,6 +110,9 @@ def _pivot(plan: np.ndarray, basis: set, enter: tuple[int, int], n: int,
 # makes any spanning forest completable to a basis and turns
 # infeasibility of the restricted support into positive artificial flow
 # at optimality.
+
+#: Pivot step lengths at or below this count as degenerate.
+_MASS_TOL = 1e-13
 
 #: Consecutive degenerate (zero-length) pivots tolerated under the
 #: default block pricing before switching to Bland's rule, which cannot
@@ -452,7 +231,7 @@ def network_simplex_arcs(rows, cols, costs, source_weights, target_weights,
         Pivot budget; defaults to ``max(2000, 20 * (n + m))``.
     tol:
         Reduced-cost optimality tolerance, relative to the largest
-        absolute arc cost.
+        absolute arc cost; finite and non-negative.
     block_size:
         Candidate-list length for block pricing; default
         ``max(64, sqrt(#arcs))``.
@@ -476,6 +255,9 @@ def network_simplex_arcs(rows, cols, costs, source_weights, target_weights,
             f"arc indices out of range for marginals of sizes ({n}, {m})")
     if not np.all(np.isfinite(costs)):
         raise ValidationError("arc costs must be finite")
+    if not (isinstance(tol, numbers.Real) and 0.0 <= tol < np.inf):
+        raise ValidationError(
+            f"tol must be a finite non-negative number, got {tol!r}")
 
     # Deduplicate (row, col) pairs keeping the cheapest arc; the kept
     # arcs come out sorted by (row, col), which fixes a deterministic
@@ -713,10 +495,18 @@ class _ArcSimplex:
     # -- pricing --------------------------------------------------------
 
     def _refresh_candidates(self):
-        """Full reduced-cost sweep over the real arcs; most-negative block."""
+        """Full reduced-cost sweep over the non-tree real arcs;
+        most-negative block.
+
+        Tree arcs are left out: their reduced cost is zero only up to
+        round-off, which at ``tol=0`` can dip below ``-price_tol`` and
+        would otherwise top every sweep without ever being able to
+        enter.
+        """
         rc = (self.costs[:self.A] - self.pi[self.tails[:self.A]]
               + self.pi[self.heads[:self.A]])
-        negative = np.flatnonzero(rc < -self.price_tol)
+        negative = np.flatnonzero((rc < -self.price_tol)
+                                  & ~self.in_tree[:self.A])
         if negative.size == 0:
             return None
         if negative.size > self.block:
@@ -761,8 +551,10 @@ class _ArcSimplex:
                           - self.pi[self.tails[candidates]]
                           + self.pi[self.heads[candidates]])
                     j = int(np.argmin(rc))
-                    if rc[j] < -self.price_tol \
-                            and not self.in_tree[candidates[j]]:
+                    # Candidates hold no tree arcs: a refresh leaves them
+                    # out, and the entering arc (the only one to join
+                    # the tree) is dropped from the list below.
+                    if rc[j] < -self.price_tol:
                         enter = int(candidates[j])
                         keep = rc < -self.price_tol
                         keep[j] = False
@@ -968,106 +760,3 @@ def refine_state(state: NetworkSimplexState, source_bins, target_bins,
         tree_rows=fine_rows[mapped], tree_cols=fine_cols[mapped],
         potentials_source=state.potentials_source[source_bins],
         potentials_target=state.potentials_target[target_bins])
-
-
-# -- registered solver -------------------------------------------------------
-
-
-def _arc_cost_entries(problem, rows: np.ndarray,
-                      cols: np.ndarray) -> np.ndarray:
-    """Ground-cost values at the ``(rows, cols)`` support entries.
-
-    Metric-family costs are evaluated pointwise on the supports so the
-    dense cost matrix is never built; explicit and callable costs index
-    the (cached) matrix.
-    """
-    from .cost import pointwise_cost
-
-    metric = problem.metric
-    if metric is not None:
-        return pointwise_cost(problem.source_support[rows],
-                              problem.target_support[cols],
-                              metric=metric, p=problem.p)
-    return problem.cost_matrix()[rows, cols]
-
-
-def _register_network_simplex() -> None:
-    """Register the ``"network_simplex"`` solver.
-
-    Deferred into a function called at the bottom of the module so the
-    registry import sits next to its single use; the module itself is
-    imported by :mod:`repro.ot.solve` before the built-ins register.
-    """
-    from scipy import sparse
-
-    from .coupling import SPARSE_DENSITY_THRESHOLD
-    from .onedim import north_west_corner_support
-    from .problem import OTProblem, OTResult, result_from_matrix
-    from .registry import register_solver
-
-    @register_solver(
-        "network_simplex", aliases=("netsimplex",),
-        description="sparse arc-list network simplex: exact restricted "
-                    "solve on a support_mask (or the full product) with "
-                    "warm-startable spanning-tree basis — the native "
-                    "engine behind the screened/multiscale restricted "
-                    "solves")
-    def _solve_network_simplex(problem: OTProblem, *,
-                               max_iter: int | None = None,
-                               tol: float = 1e-10,
-                               init: NetworkSimplexState | None = None,
-                               block_size: int | None = None) -> OTResult:
-        """Exact OT restricted to ``problem.support_mask`` (hard, like
-        ``"lp"``): on an infeasible mask the north-west-corner staircase
-        is unioned in and the solve retried, reported via
-        ``extras["mask_widened"]``.  Without a mask the full product
-        support is solved.  The returned basis travels in
-        ``extras["state"]`` and a previous one warm-starts via
-        ``init=``."""
-        mu = problem.source_weights
-        nu = problem.target_weights
-        n, m = problem.shape
-        if problem.support_mask is None:
-            rows, cols = np.nonzero(np.ones((n, m), dtype=bool))
-            masked = False
-        else:
-            rows, cols = np.nonzero(problem.support_mask)
-            masked = True
-        costs = _arc_cost_entries(problem, rows, cols)
-        widened = False
-        try:
-            outcome = network_simplex_arcs(rows, cols, costs, mu, nu,
-                                           init=init, max_iter=max_iter,
-                                           tol=tol, block_size=block_size)
-        except InfeasibleProblemError:
-            if not masked:
-                raise
-            nw_rows, nw_cols = north_west_corner_support(mu, nu)
-            mask = problem.support_mask.copy()
-            mask[nw_rows, nw_cols] = True
-            rows, cols = np.nonzero(mask)
-            costs = _arc_cost_entries(problem, rows, cols)
-            outcome = network_simplex_arcs(rows, cols, costs, mu, nu,
-                                           init=init, max_iter=max_iter,
-                                           tol=tol, block_size=block_size)
-            widened = True
-        matrix = sparse.csr_array((outcome.flows, (rows, cols)),
-                                  shape=(n, m))
-        matrix.eliminate_zeros()
-        if matrix.nnz / float(n * m) > SPARSE_DENSITY_THRESHOLD:
-            matrix = matrix.toarray()
-        extras = {"support_size": int(rows.size),
-                  "support_density": float(rows.size / (n * m)),
-                  "pivots": outcome.pivots,
-                  "degenerate_pivots": outcome.degenerate_pivots,
-                  "bland_pivots": outcome.bland_pivots,
-                  "warm_started": outcome.warm_started,
-                  "state": outcome.state}
-        if masked:
-            extras["mask_widened"] = widened
-        return result_from_matrix(problem, matrix, value=outcome.value,
-                                  converged=True, n_iter=outcome.pivots,
-                                  extras=extras)
-
-
-_register_network_simplex()

@@ -458,9 +458,9 @@ class OTResult:
 
         Dense :class:`numpy.ndarray` for densely stored plans; a CSR
         sparse array when the solver kept the plan sparse (always for
-        ``"exact"``; the screened hybrid below :data:`~repro.ot.coupling.
-        SPARSE_DENSITY_THRESHOLD` density).  ``result.plan.toarray()``
-        densifies on demand.
+        ``"exact"``; the simplex and the screened hybrid below
+        :data:`~repro.ot.coupling.SPARSE_DENSITY_THRESHOLD` density).
+        ``result.plan.toarray()`` densifies on demand.
         """
         return self.plan.matrix
 

@@ -12,7 +12,9 @@ Built-in methods
     Closed-form monotone coupling — optimal for 1-D supports with any
     convex ``|x - y|^p`` cost, ``O(n + m)``.
 ``"simplex"``
-    Dense transportation simplex (MODI), exact, cubic-class.
+    Arc-list network simplex (aliases ``"network_simplex"``,
+    ``"netsimplex"``), exact; honours a ``support_mask`` and
+    warm-starts from a previous basis.
 ``"lp"``
     scipy/HiGHS linear-programming oracle; honours a sparse
     ``support_mask`` by solving the restricted LP.
@@ -75,8 +77,7 @@ from .coupling import (SPARSE_DENSITY_THRESHOLD, TransportPlan,
                        _inner_product as _plan_inner_product, band_bounds,
                        is_banded)
 from .lp import _linprog_with_presolve_retry, _lp_matrix
-from .network_simplex import (NetworkSimplexState, _arc_cost_entries,
-                              _transport_simplex_core, network_simplex_arcs)
+from .network_simplex import NetworkSimplexState, network_simplex_arcs
 from .onedim import (_staircase_stack, _staircase_walk,
                      banded_monotone_transport, north_west_corner,
                      north_west_corner_support)
@@ -94,7 +95,7 @@ __all__ = ["solve", "solve_many", "auto_method", "as_problem",
            "MULTISCALE_AUTO_LIMIT", "EPSILON_SCALING_AUTO_LIMIT",
            "SCREEN_BAND_LIMIT"]
 
-#: Largest marginal size ``auto`` still hands to the dense simplex.
+#: Largest marginal size ``auto`` still hands to the network simplex.
 SIMPLEX_AUTO_LIMIT = 64
 #: Largest marginal size ``auto`` still hands to the dense LP; beyond
 #: this the screened sparse hybrid takes over.
@@ -170,7 +171,9 @@ def auto_method(problem: OTProblem) -> str:
         return "exact"
     size = max(problem.shape)
     if problem.support_mask is not None:
-        # Only the LP, screened and multiscale solvers honour a mask.
+        # The LP and the simplex both honour a mask; masked problems
+        # stay on the LP up to LP_AUTO_LIMIT, since the simplex beats it
+        # there only below a few dozen states.
         if size <= LP_AUTO_LIMIT:
             return "lp"
         return _large_scale_method(problem, size)
@@ -219,8 +222,8 @@ def solve(problem_or_cost, source_weights=None, target_weights=None, *,
         bit-identical numpy reference, or ``"array_api_strict"`` for the
         conformance run.  Offered with signature filtering, like every
         other tuning knob: solvers whose signature takes ``backend``
-        (``"exact"`` and the entropic kernels) receive it, the
-        scipy-bound ones (``"lp"``, ``"simplex"``, ...) ignore it.
+        (``"exact"`` and the entropic kernels) receive it, the others
+        (``"lp"``, ``"simplex"``, ...) ignore it.
         Unknown backend names fail fast regardless of the solver.
     **opts:
         Forwarded verbatim to the resolved solver (e.g. ``epsilon`` for
@@ -441,7 +444,7 @@ def _check_monotone_problem(problem: OTProblem) -> None:
     if problem.support_mask is not None:
         raise ValidationError(
             "the 'exact' monotone solver cannot honour a support_mask; "
-            "use 'lp' or 'screened'")
+            "use 'simplex', 'lp' or 'screened'")
 
 
 def _monotone_batchable(problem: OTProblem) -> bool:
@@ -656,20 +659,82 @@ def _solve_exact_batch(batch: OTBatch, *, backend=None) -> list:
     return _monotone_engine(problems, backend)
 
 
+def _arc_cost_entries(problem: OTProblem, rows: np.ndarray,
+                      cols: np.ndarray) -> np.ndarray:
+    """Ground-cost values at the ``(rows, cols)`` support entries.
+
+    Metric-family costs are evaluated pointwise on the supports
+    (:func:`~repro.ot.cost.pointwise_cost`), so the dense cost matrix is
+    never built; explicit and callable costs index the (cached) matrix.
+    """
+    metric = problem.metric
+    if metric is not None:
+        return pointwise_cost(problem.source_support[rows],
+                              problem.target_support[cols],
+                              metric=metric, p=problem.p)
+    return problem.cost_matrix()[rows, cols]
+
+
 @register_solver(
-    "simplex",
-    description="exact dense transportation simplex (MODI / u-v method), "
-                "cubic-class in the support size")
+    "simplex", aliases=("network_simplex", "netsimplex"),
+    description="exact arc-list network simplex: full product or a "
+                "support_mask, Bland's-rule anti-cycling, warm-startable "
+                "spanning-tree basis; CSR plan below 25% density")
 def _solve_simplex(problem: OTProblem, *, max_iter: int | None = None,
-                   tol: float = 1e-10) -> OTResult:
-    if problem.support_mask is not None:
-        raise ValidationError(
-            "the dense simplex cannot honour a support_mask; use 'lp' or "
-            "'screened'")
-    matrix, pivots = _transport_simplex_core(
-        problem.cost_matrix(), problem.source_weights,
-        problem.target_weights, max_iter=max_iter, tol=tol)
-    return _finish(problem, matrix, n_iter=pivots)
+                   tol: float = 1e-10,
+                   init: NetworkSimplexState | None = None,
+                   block_size: int | None = None) -> OTResult:
+    """Exact OT by :func:`~repro.ot.network_simplex.network_simplex_arcs`
+    over the full product support, or over ``problem.support_mask``.
+
+    The mask is a hard restriction, like for ``"lp"``: when it admits
+    no coupling (an all-``False`` mask included) the north-west-corner
+    staircase is unioned in and the solve retried, reported via
+    ``extras["mask_widened"]``.  The returned basis travels in
+    ``extras["state"]`` and a previous one warm-starts via ``init=``.
+    """
+    mu = problem.source_weights
+    nu = problem.target_weights
+    n, m = problem.shape
+    mask = problem.support_mask
+
+    def solve_on(support):
+        rows, cols = np.nonzero(support)
+        costs = _arc_cost_entries(problem, rows, cols)
+        return rows, cols, network_simplex_arcs(
+            rows, cols, costs, mu, nu, init=init, max_iter=max_iter,
+            tol=tol, block_size=block_size)
+
+    # An all-False mask admits no coupling: widen it straight away.
+    widened = mask is not None and not mask.any()
+    if not widened:
+        try:
+            rows, cols, outcome = solve_on(
+                np.ones((n, m), dtype=bool) if mask is None else mask)
+        except InfeasibleProblemError:
+            if mask is None:
+                raise
+            widened = True
+    if widened:
+        nw_rows, nw_cols = north_west_corner_support(mu, nu)
+        support = mask.copy()
+        support[nw_rows, nw_cols] = True
+        rows, cols, outcome = solve_on(support)
+    matrix = sparse.csr_array((outcome.flows, (rows, cols)), shape=(n, m))
+    matrix.eliminate_zeros()
+    if matrix.nnz / float(n * m) > SPARSE_DENSITY_THRESHOLD:
+        matrix = matrix.toarray()
+    extras = {"support_size": int(rows.size),
+              "support_density": float(rows.size / (n * m)),
+              "pivots": outcome.pivots,
+              "degenerate_pivots": outcome.degenerate_pivots,
+              "bland_pivots": outcome.bland_pivots,
+              "warm_started": outcome.warm_started,
+              "state": outcome.state}
+    if mask is not None:
+        extras["mask_widened"] = widened
+    return _finish(problem, matrix, value=outcome.value,
+                   n_iter=outcome.pivots, extras=extras)
 
 
 @register_solver(
@@ -686,19 +751,22 @@ def _solve_lp(problem: OTProblem) -> OTResult:
     else:
         # The mask is a hard restriction; widen it with a feasibility
         # patch (the NW-corner coupling, O(n+m) to build) only when the
-        # restricted problem admits no coupling — and say so.
+        # restricted problem admits no coupling — and say so.  An
+        # all-False mask admits none, without asking HiGHS.
         mask = problem.support_mask
-        widened = False
-        try:
-            # No presolve retry here: this mask's feasibility is unknown,
-            # so an infeasible verdict is probably real and the widened
-            # attempt below is the useful follow-up.
-            matrix, nit = _restricted_lp_matrix(cost, mu, nu, mask,
-                                                presolve_retry=False)
-        except ConvergenceError:
+        widened = not mask.any()
+        if not widened:
+            try:
+                # No presolve retry here: this mask's feasibility is
+                # unknown, so an infeasible verdict is probably real and
+                # the widened attempt below is the useful follow-up.
+                matrix, nit = _restricted_lp_matrix(cost, mu, nu, mask,
+                                                    presolve_retry=False)
+            except ConvergenceError:
+                widened = True
+        if widened:
             mask = mask | (north_west_corner(mu, nu) > 0.0)
             matrix, nit = _restricted_lp_matrix(cost, mu, nu, mask)
-            widened = True
         extras = {"support_size": int(mask.sum()),
                   "support_density": float(mask.mean()),
                   "mask_widened": widened}

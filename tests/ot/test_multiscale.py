@@ -328,16 +328,19 @@ class TestRestrictedEngine:
         # With two pyramid levels the intermediate restricted solve
         # leaves a NetworkSimplexState in its extras; the finest level
         # must lift that basis via refine_state and report the warm
-        # start in its per-level diagnostics.  Basis lifts only apply
-        # off the monotone-certified family (an explicit cost here) —
-        # on certified problems the cold staircase basis is already
-        # optimal and the lift is deliberately skipped.
+        # start in its per-level diagnostics.  The coarsest solve (the
+        # network simplex, by auto dispatch) leaves one too, so the
+        # intermediate level is warm-started as well.  Basis lifts only
+        # apply off the monotone-certified family (an explicit cost
+        # here) — on certified problems the cold staircase basis is
+        # already optimal and the lift is deliberately skipped.
         problem = gaussian_grid_problem(240, explicit_cost=True)
         stacked = solve(problem, method="multiscale", coarsen=4,
                         levels=2, restricted_engine="network_simplex")
         assert stacked.extras["levels"] == 2
+        assert stacked.extras["coarse_solver"] == "simplex"
         pyramid = stacked.extras["pyramid"]
-        assert [info["warm_started"] for info in pyramid] == [False, True]
+        assert [info["warm_started"] for info in pyramid] == [True, True]
         assert stacked.extras["warm_started"] is True
         from repro.ot import NetworkSimplexState
         assert isinstance(stacked.extras["state"], NetworkSimplexState)

@@ -1,4 +1,4 @@
-"""Tests for the transportation-simplex exact solver."""
+"""Tests for the network-simplex exact solver behind ``"simplex"``."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import InfeasibleProblemError, ValidationError
+from repro.ot import solve
 from repro.ot.cost import squared_euclidean_cost
 from repro.ot.lp import transport_lp
 from repro.ot.network_simplex import solve_transport, transport_simplex
@@ -49,6 +50,23 @@ class TestBasics:
             transport_simplex(np.zeros((2, 2)), [0.5, 0.5],
                               [0.3, 0.3, 0.4])
 
+    def test_dense_plan_of_the_simplex_solver(self, rng):
+        # The solver keeps this plan CSR (at most 39 of 400 entries);
+        # the legacy entry point still hands back a dense array.
+        cost = rng.random((20, 20))
+        mu = rng.dirichlet(np.ones(20))
+        nu = rng.dirichlet(np.ones(20))
+        plan = transport_simplex(cost, mu, nu)
+        result = solve(cost, mu, nu, method="simplex")
+        assert type(plan) is np.ndarray
+        assert result.plan.is_sparse
+        np.testing.assert_array_equal(plan, result.plan.toarray())
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            transport_simplex(np.eye(2), [0.5, 0.5], [0.5, 0.5], tol=tol)
+
 
 class TestOptimality:
     @pytest.mark.parametrize("n,m", [(3, 3), (5, 8), (10, 6), (12, 12)])
@@ -78,6 +96,23 @@ class TestOptimality:
         plan = transport_simplex(cost, mu, mu)
         np.testing.assert_allclose(plan.sum(axis=1), mu, atol=1e-9)
         assert np.sum(cost * plan) == pytest.approx(1.0)
+
+    def test_zero_tolerance_terminates_at_lp_value(self):
+        # Pinned draw: at tol=0 a tree arc's reduced cost rounds to
+        # -5.7e-14 here, so pricing must skip tree arcs or it selects
+        # that arc forever without entering it.
+        rng = np.random.default_rng(0)
+        for _ in range(52):
+            n = rng.integers(3, 40)
+            x = rng.normal(size=(n, 2))
+            y = rng.normal(size=(n, 2))
+            mu = rng.random(n)
+            nu = rng.random(n)
+        assert n == 6
+        cost = squared_euclidean_cost(x, y)
+        result = solve(cost, mu, nu, method="simplex", tol=0.0)
+        oracle = solve(cost, mu, nu, method="lp")
+        assert result.value == pytest.approx(oracle.value, abs=1e-12)
 
     def test_integer_costs_with_ties(self, rng):
         cost = rng.integers(0, 3, size=(6, 6)).astype(float)

@@ -57,11 +57,13 @@ def _marginal_errors(flows, rows, cols, mu, nu):
 def transport_problems(draw):
     """A random balanced arc-list problem plus its generation knobs.
 
-    Returns ``(rows, cols, base_costs, mu, nu, scale)`` where the arcs
-    always contain the NW staircase (so the problem is feasible), the
-    weights may be smooth (dirichlet), tied (small integer ratios) or
-    fully degenerate uniform, the costs may carry ties, and ``scale``
-    stresses the pricing tolerances down to denormal range.
+    Returns ``(rows, cols, base_costs, mu, nu, scale, opts)`` where the
+    arcs always contain the NW staircase (so the problem is feasible),
+    the weights may be smooth (dirichlet), tied (small integer ratios)
+    or fully degenerate uniform, the costs may carry ties, ``scale``
+    stresses the pricing tolerances down to denormal range, and
+    ``opts`` is either empty (the default tolerance) or ``tol=0``, where
+    round-off alone decides the sign of a reduced cost.
     """
     n = draw(st.integers(min_value=2, max_value=18))
     m = draw(st.integers(min_value=2, max_value=18))
@@ -70,6 +72,7 @@ def transport_problems(draw):
     mask_density = draw(st.sampled_from([None, 0.2, 0.5]))
     tied_costs = draw(st.booleans())
     scale = draw(st.sampled_from([1.0, 1e-9, 1e-300]))
+    opts = draw(st.sampled_from([{}, {"tol": 0.0}]))
     rng = np.random.default_rng(seed)
 
     if weight_kind == "smooth":
@@ -98,15 +101,15 @@ def transport_problems(draw):
         base_costs = rng.integers(0, 5, size=rows.size).astype(float)
     else:
         base_costs = rng.random(rows.size)
-    return rows, cols, base_costs, mu, nu, scale
+    return rows, cols, base_costs, mu, nu, scale, opts
 
 
 class TestDifferentialOracle:
     @given(problem=transport_problems())
     def test_objective_and_feasibility_match_oracle(self, problem):
-        rows, cols, base_costs, mu, nu, scale = problem
+        rows, cols, base_costs, mu, nu, scale, opts = problem
         outcome = network_simplex_arcs(rows, cols, base_costs * scale,
-                                       mu, nu)
+                                       mu, nu, **opts)
         _, _, oracle_value = _restricted_lp_entries(
             base_costs, rows, cols, (mu.size, nu.size), mu, nu)
         assert outcome.value / scale == pytest.approx(oracle_value,
@@ -121,7 +124,7 @@ class TestDifferentialOracle:
     def test_warm_start_reaches_cold_objective(self, problem, jitter_seed):
         """A basis from a perturbed problem must warm-start to the same
         optimum as a cold solve — never to a stale or infeasible one."""
-        rows, cols, base_costs, mu, nu, scale = problem
+        rows, cols, base_costs, mu, nu, scale, _ = problem
         del scale  # the warm-start property is scale-free; test at 1.0
         rng = np.random.default_rng(jitter_seed)
         jitter = 1.0 + 0.2 * rng.random(mu.size + nu.size)

@@ -12,11 +12,12 @@ import pytest
 
 from repro.exceptions import ValidationError
 from repro.ot import (OTProblem, OTResult, Solver, TransportPlan,
-                      auto_method, available_solvers, register_solver,
-                      resolve_solver, sinkhorn, solve, solve_1d,
-                      solve_sinkhorn, solve_transport, solve_transport_lp,
-                      solver_descriptions, squared_euclidean_cost,
-                      transport_lp, transport_simplex, unregister_solver)
+                      auto_method, available_solvers, north_west_corner,
+                      register_solver, resolve_solver, sinkhorn, solve,
+                      solve_1d, solve_sinkhorn, solve_transport,
+                      solve_transport_lp, solver_descriptions,
+                      squared_euclidean_cost, transport_lp,
+                      transport_simplex, unregister_solver)
 
 #: Cost-value agreement tolerance against the LP oracle, per solver.
 #: Exact methods must match tightly; entropic methods are biased by
@@ -141,6 +142,15 @@ class TestRegistry:
         assert resolve_solver("monotone").name == "exact"
         assert resolve_solver("highs").name == "lp"
 
+    def test_one_simplex_behind_three_names(self):
+        solver = resolve_solver("simplex")
+        for alias in ("network_simplex", "netsimplex"):
+            assert resolve_solver(alias) is solver
+        names = available_solvers()
+        assert names.count("simplex") == 1
+        assert "network_simplex" not in names
+        assert "netsimplex" not in names
+
 
 class TestCrossSolverAgreement:
     def test_all_registered_solvers_near_lp_oracle(self, shared_problem):
@@ -205,6 +215,50 @@ class TestCrossSolverAgreement:
         result = solve(problem, method="lp")
         assert result.extras["mask_widened"] is True
         assert result.marginal_residual <= 1e-8
+
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_simplex_honours_support_mask(self, shared_problem, rng,
+                                          feasible):
+        # A restrictive random mask: with the staircase unioned in it is
+        # feasible and binding; with its first column emptied it admits
+        # no coupling, and both solvers widen it.
+        mask = rng.random(shared_problem.shape) < 0.3
+        if feasible:
+            mask |= north_west_corner(shared_problem.source_weights,
+                                      shared_problem.target_weights) > 0.0
+        else:
+            mask[:, 0] = False
+        problem = OTProblem(
+            source_weights=shared_problem.source_weights,
+            target_weights=shared_problem.target_weights,
+            source_support=shared_problem.source_support,
+            target_support=shared_problem.target_support,
+            support_mask=mask)
+        simplex = solve(problem, method="simplex")
+        lp = solve(problem, method="lp")
+        assert simplex.value == pytest.approx(lp.value, abs=1e-10)
+        assert simplex.extras["mask_widened"] is (not feasible)
+        assert lp.extras["mask_widened"] is (not feasible)
+        if feasible:
+            assert np.all(simplex.plan.toarray()[~mask] == 0.0)
+        assert simplex.marginal_residual <= 1e-12
+
+    @pytest.mark.parametrize("method", ["lp", "simplex", "auto"])
+    def test_all_false_mask_widens_to_staircase(self, rng, method):
+        # The staircase is the support of exactly one coupling, the
+        # north-west corner one, so the widened solve must return it.
+        n = 5
+        mu = rng.dirichlet(np.ones(n))
+        nu = rng.dirichlet(np.ones(n))
+        cost = rng.random((n, n))
+        problem = OTProblem(source_weights=mu, target_weights=nu,
+                            cost=cost,
+                            support_mask=np.zeros((n, n), dtype=bool))
+        result = solve(problem, method=method)
+        assert result.extras["mask_widened"] is True
+        assert result.value == pytest.approx(
+            float(np.sum(cost * north_west_corner(mu, nu))), abs=1e-10)
+        assert result.marginal_residual <= 1e-12
 
     def test_screened_honours_support_mask_union(self, shared_problem):
         mask = np.zeros(shared_problem.shape, dtype=bool)
@@ -289,8 +343,9 @@ class TestAutoDispatch:
         assert auto_method(problem) == "screened"
 
     def test_masked_problems_avoid_mask_blind_solvers(self, rng):
-        # Small + masked must not dispatch to the simplex (which rejects
-        # masks); it must route to a mask-honouring solver and solve.
+        # Small + masked dispatches to the LP, not the simplex: both
+        # honour a mask, but auto keeps masked problems on the LP up to
+        # LP_AUTO_LIMIT.  It must solve under the mask.
         n = 6
         problem = OTProblem(source_weights=np.full(n, 1.0 / n),
                             target_weights=np.full(n, 1.0 / n),
@@ -372,13 +427,13 @@ class TestLegacyShimEquivalence:
         cost, mu, nu = dense_problem
         legacy = transport_simplex(cost, mu, nu)
         unified = solve(cost, mu, nu, method="simplex")
-        np.testing.assert_allclose(legacy, unified.matrix)
+        np.testing.assert_allclose(legacy, unified.plan.toarray())
 
     def test_solve_transport(self, dense_problem):
         cost, mu, nu = dense_problem
         legacy = solve_transport(cost, mu, nu)
         unified = solve(cost, mu, nu, method="simplex")
-        np.testing.assert_allclose(legacy.matrix, unified.matrix)
+        np.testing.assert_allclose(legacy.toarray(), unified.plan.toarray())
         assert legacy.cost == pytest.approx(unified.value)
 
     def test_solve_transport_lp(self, dense_problem):
