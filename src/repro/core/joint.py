@@ -37,7 +37,7 @@ from ..density.kde import gaussian_kernel
 from ..exceptions import NotFittedError, ValidationError
 from ..ot.barycenter import sinkhorn_barycenter
 from ..ot.cost import squared_euclidean_cost
-from ..ot.coupling import conditional_cumulative, sample_conditional_rows
+from ..ot.coupling import CSRSampler, sample_conditional_rows
 from ..ot.problem import OTBatch, OTProblem
 from ..ot.registry import filter_opts, resolve_solver
 from ..ot.solve import solve_many
@@ -89,18 +89,17 @@ class JointFeaturePlan:
         return int(np.prod(self.shape))
 
     def sample_states(self, s: int, flat_rows, uniforms) -> np.ndarray:
-        """Inverse-CDF draw over ``conditionals[s]`` rows; for CSR
-        conditionals the running cumulative sum is cached per ``s`` (it is
-        recomputed otherwise on every repair batch)."""
+        """Inverse-CDF draw over ``conditionals[s]`` rows; CSR
+        conditionals draw through a :class:`~repro.ot.coupling.CSRSampler`
+        kept per ``s``, so repair batches build it once."""
         conditionals = self.conditionals[s]
-        cumulative = None
-        if sparse.issparse(conditionals):
-            cache = getattr(self, "_sampler_cache")
-            if s not in cache:
-                cache[s] = conditional_cumulative(conditionals)
-            cumulative = cache[s]
-        return sample_conditional_rows(conditionals, flat_rows, uniforms,
-                                       cumulative=cumulative)
+        if not sparse.issparse(conditionals):
+            return sample_conditional_rows(conditionals, flat_rows, uniforms)
+        cache = getattr(self, "_sampler_cache")
+        if s not in cache:
+            cache[s] = CSRSampler(conditionals)
+        return cache[s].sample(np.asarray(flat_rows),
+                               np.asarray(uniforms, dtype=float))
 
 
 @dataclass(frozen=True)

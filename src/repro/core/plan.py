@@ -20,8 +20,7 @@ import numpy as np
 
 from ..density.grid import InterpolationGrid
 from ..exceptions import ValidationError
-from ..ot.coupling import (TransportPlan, conditional_cumulative,
-                           sample_conditional_rows)
+from ..ot.coupling import TransportPlan
 from .cache import LRUCache
 
 __all__ = ["FeaturePlan", "RepairPlan"]
@@ -88,6 +87,9 @@ class FeaturePlan:
         object.__setattr__(self, "_cdf_cache", {})
         object.__setattr__(self, "_sparse_cdf_cache",
                            LRUCache(_SPARSE_CDF_CACHE_SIZE))
+        # Algorithm-2 kernels, one per (s, rounding, output), which
+        # repro.core.repair builds on first use and keeps here.
+        object.__setattr__(self, "_kernels", {})
 
     @property
     def s_values(self) -> tuple:
@@ -99,14 +101,15 @@ class FeaturePlan:
         Row ``q`` is the cumulative distribution of the repaired state given
         source state ``q``.  For densely stored transports the array is
         computed once per ``s`` and cached (callers must treat it as
-        read-only and copy before mutating) — it *is* the Algorithm-2
-        sampling table.  For CSR-backed transports it is an
-        inspection-only view: densified on demand and memoised in a
-        small LRU (capacity ``_SPARSE_CDF_CACHE_SIZE``), so repeated
-        inspection queries stop re-densifying while a large design's
-        ``O(n_Q²)`` tables still cannot pile up in memory — the
-        Algorithm-2 hot path goes through :meth:`sample_targets`,
-        which samples on the sparse conditional structure directly.
+        read-only and copy before mutating) — it is the table
+        :meth:`sample_targets` samples from.  For CSR-backed transports
+        it is an inspection-only view: densified on demand and memoised
+        in a small LRU (capacity ``_SPARSE_CDF_CACHE_SIZE``), so
+        repeated inspection queries stop re-densifying while a large
+        design's ``O(n_Q²)`` tables still cannot pile up in memory —
+        sampling draws on the sparse conditional structure directly.
+        The Algorithm-2 kernels of :mod:`repro.core.repair` hold their
+        own tables.
         """
         if s not in self.transports:
             raise ValidationError(
@@ -129,8 +132,9 @@ class FeaturePlan:
         the vectorised sampler of Algorithm 2 Eq. 15.
 
         Dense transports sample through the cached row-CDF matrix; CSR
-        transports sample directly on the sparse conditional structure
-        (cached per ``s``) without ever materialising an
+        transports through the transport's own
+        :class:`~repro.ot.coupling.CSRSampler`, the one the Algorithm-2
+        kernels draw with, without ever materialising an
         ``(n_Q, n_Q)`` array.
         """
         if s not in self.transports:
@@ -140,15 +144,7 @@ class FeaturePlan:
         rows = np.asarray(rows)
         uniforms = np.asarray(uniforms, dtype=float)
         if plan.is_sparse:
-            cache = getattr(self, "_cdf_cache")
-            key = ("sparse-sampler", s)
-            if key not in cache:
-                conditionals = plan.conditional_matrix()
-                cache[key] = (conditionals,
-                              conditional_cumulative(conditionals))
-            conditionals, cumulative = cache[key]
-            return sample_conditional_rows(conditionals, rows, uniforms,
-                                           cumulative=cumulative)
+            return plan.conditional_sampler().sample(rows, uniforms)
         cdfs = self.conditional_cdfs(s)
         # `cdfs` is the shared cache, so only mutate the np.take copy.
         row_cdfs = np.take(cdfs, rows, axis=0)

@@ -13,12 +13,24 @@ The procedure preserves the cardinality of the archive, costs an
 expected ``O(1)`` per point after an ``O(n_Q)`` per-plan precomputation
 (the default ``"exact"`` plans are CSR staircases with at most
 ``2·n_Q - 1`` non-zeros), and never touches the research data again —
-hence "torrent-ready".  Steps 1 and 3 are guess-and-check kernels: the
-cell is guessed from the grid's mean spacing, and the draw scans its
-staircase row, which holds a handful of entries.  Each falls back to
-an ``O(log n_Q)`` binary search, with the same result, for values it
-cannot settle and for dispatches below
-:data:`~repro.density.grid.GUESS_CROSSOVER` rows.
+hence "torrent-ready".
+
+One kernel does the work everywhere: :class:`PreparedFeatureRepair`,
+one per ``(u, s, k)`` cell and rounding/output mode.  ``repro serve``
+keeps its kernels in a bounded cache; :func:`repair_dataset` (and so
+:meth:`DistributionalRepairer.transform_stream`) and
+:func:`repair_feature_values` build each on first use and keep it on
+its :class:`~repro.core.plan.FeaturePlan`, so a stream of batches
+builds every table once.  Steps 1 and 3 avoid per-value binary
+searches: the cell is guessed from the grid's mean spacing and
+corrected by one step, and the draw reads the entry of its uniform's
+bin from a one-byte guide table per CSR row
+(:class:`~repro.ot.coupling.CSRSampler`).  Values the guess cannot
+settle, draws whose bin holds a row breakpoint, and dispatches below
+:data:`~repro.density.grid.GUESS_CROSSOVER` rows take an ``O(log
+n_Q)`` binary search with the same result.  Archive batches from
+:mod:`repro.data.streaming` are read-only views of the archive, so no
+row is copied before its repair.
 
 :class:`DistributionalRepairer` wraps Algorithms 1 + 2 in a familiar
 ``fit`` / ``transform`` estimator interface with streaming support.
@@ -33,7 +45,6 @@ from ..data.dataset import FairnessDataset
 from ..data.streaming import ArchiveStream
 from ..density.grid import locate_cells
 from ..exceptions import NotFittedError, ValidationError
-from ..ot.coupling import _sample_csr_entries, conditional_cumulative
 from ..ot.registry import resolve_solver
 from .design import design_repair
 from .plan import FeaturePlan, RepairPlan
@@ -48,10 +59,22 @@ ROUNDING_MODES = ("stochastic", "nearest")
 OUTPUT_MODES = ("sample", "barycentric", "interpolated")
 
 
+def _check_modes(rounding: str, output: str) -> None:
+    if rounding not in ROUNDING_MODES:
+        raise ValidationError(
+            f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
+    if output not in OUTPUT_MODES:
+        raise ValidationError(
+            f"unknown output {output!r}; expected {OUTPUT_MODES}")
+
+
 def repair_feature_values(values, feature_plan: FeaturePlan, s: int, *,
                           rng=None, rounding: str = "stochastic",
                           output: str = "sample") -> np.ndarray:
     """Repair a vector of one feature's values for one ``(u, s)`` subgroup.
+
+    Validates its inputs, then runs the cell's memoised
+    :class:`PreparedFeatureRepair` kernel.
 
     Parameters
     ----------
@@ -74,59 +97,31 @@ def repair_feature_values(values, feature_plan: FeaturePlan, s: int, *,
         *continuous* repaired values whose grid projection matches the
         sampled pmf, so the repaired support is not quantised to ``Q``.
     """
-    if rounding not in ROUNDING_MODES:
-        raise ValidationError(
-            f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
-    if output not in OUTPUT_MODES:
-        raise ValidationError(
-            f"unknown output {output!r}; expected {OUTPUT_MODES}")
+    _check_modes(rounding, output)
+    kernel = _kernel(feature_plan, s, rounding, output)
     xs = np.atleast_1d(np.asarray(values, dtype=float))
     if xs.size == 0:
         return xs.copy()
-
-    grid = feature_plan.grid
-    idx, tau = grid.locate(xs)
-    if rounding == "stochastic":
-        generator = as_rng(rng)
-        advance = (generator.random(xs.size) < tau).astype(int)
-    else:
-        advance = (tau >= 0.5).astype(int)
-    rows = np.minimum(idx + advance, grid.n_states - 1)
-
-    if output == "barycentric":
-        return feature_plan.expected_targets(s)[rows]
-
-    generator = as_rng(rng)
-    draws = generator.random(xs.size)
-    # Vectorised inverse-CDF sampling, storage-agnostic: dense plans go
-    # through the cached row-CDF matrix, CSR plans sample on the sparse
-    # conditional structure without densifying (see
-    # FeaturePlan.sample_targets).
-    states = feature_plan.sample_targets(s, rows, draws)
-    repaired = grid.nodes[states]
-    if output == "interpolated":
-        jitter = generator.uniform(-0.5, 0.5, size=xs.size) * grid.spacing
-        repaired = np.clip(repaired + jitter, grid.low, grid.high)
-    return repaired
+    if not np.all(np.isfinite(xs)):
+        raise ValidationError("values contain non-finite entries")
+    return kernel(xs, as_rng(rng))
 
 
 class PreparedFeatureRepair:
     """Validation-free Algorithm-2 kernel for one ``(u, s, k)`` cell.
 
-    :func:`repair_feature_values` re-validates its inputs on every call
-    (mode strings, array coercion, finiteness, transport lookup) —
-    negligible for one batch repair, but pure overhead in a serving
-    loop that dispatches the same cell thousands of times per second on
-    already-validated rows.  Preparing a cell hoists all of that out of
-    the hot path **and owns its sampling state** (the dense row-CDF
-    table or the sparse conditional sampler), so a bounded cache of
-    prepared cells really bounds the memory the tables occupy —
-    :class:`FeaturePlan`'s internal caches are bypassed entirely.
+    Preparing a cell hoists mode checks, array coercion, finiteness and
+    the transport lookup out of the hot path, and builds its sampling
+    state once: the dense row-CDF table, which the kernel owns, so a
+    bounded cache of prepared cells bounds the memory those ``O(n_Q²)``
+    tables occupy; or, for a CSR transport, the transport's own
+    :class:`~repro.ot.coupling.CSRSampler`, an ``O(nnz)`` state shared by
+    every kernel and caller that samples that transport.
 
-    The kernel is **bit-identical** to :func:`repair_feature_values`:
-    same operations, same random-stream consumption (asserted by
-    ``tests/core/test_repair.py``).  Randomness is split out so a
-    micro-batcher can draw each request's variates from its own
+    :func:`repair_feature_values` and :func:`repair_dataset` run these
+    kernels too, so served and offline repairs are the same operations
+    with the same random-stream consumption.  Randomness is split out
+    so a micro-batcher can draw each request's variates from its own
     generator (in the exact order the one-request path would) and still
     apply the deterministic part to many requests' values in one
     vectorised dispatch:
@@ -143,18 +138,14 @@ class PreparedFeatureRepair:
     :class:`ValidationError`).
     """
 
-    __slots__ = ("rounding", "output", "n_states", "_nodes", "_low",
-                 "_high", "_spacing", "_expected", "_cdfs", "_sparse")
+    __slots__ = ("rounding", "output", "n_states", "_nodes", "_gaps",
+                 "_low", "_high", "_spacing", "_expected", "_cdfs",
+                 "_sampler")
 
     def __init__(self, feature_plan: FeaturePlan, s: int, *,
                  rounding: str = "stochastic",
                  output: str = "sample") -> None:
-        if rounding not in ROUNDING_MODES:
-            raise ValidationError(
-                f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
-        if output not in OUTPUT_MODES:
-            raise ValidationError(
-                f"unknown output {output!r}; expected {OUTPUT_MODES}")
+        _check_modes(rounding, output)
         if s not in feature_plan.transports:
             raise ValidationError(
                 f"no transport plan for s={s}; have "
@@ -164,41 +155,31 @@ class PreparedFeatureRepair:
         self.output = output
         self.n_states = grid.n_states
         self._nodes = grid.nodes
+        self._gaps = np.diff(grid.nodes)
         self._low = grid.low
         self._high = grid.high
         self._spacing = grid.spacing
         self._expected = None
         self._cdfs = None
-        self._sparse = None
+        self._sampler = None
         transport = feature_plan.transports[s]
         if output == "barycentric":
             self._expected = feature_plan.expected_targets(s)
         elif transport.is_sparse:
-            conditionals = transport.conditional_matrix()
-            cumulative = conditional_cumulative(conditionals)
-            # Per-row tables, so that apply() gathers three values per
-            # draw; checked here once instead of on every apply().
-            first = conditionals.indptr[:-1]
-            last = conditionals.indptr[1:] - 1
-            if np.any(last < first):
-                raise ValidationError(
-                    f"transport for s={s} has rows without mass after "
-                    "normalisation")
-            self._sparse = (conditionals.indices, cumulative, first, last,
-                            cumulative[first])
+            self._sampler = transport.conditional_sampler()
         else:
             self._cdfs = np.cumsum(transport.conditional_matrix(), axis=1)
 
     @property
     def nbytes(self) -> int:
-        """Approximate bytes of owned sampling state (cache accounting)."""
+        """Approximate bytes of the sampling state the kernel holds."""
         total = 0
         if self._expected is not None:
             total += self._expected.nbytes
         if self._cdfs is not None:
             total += self._cdfs.nbytes
-        if self._sparse is not None:
-            total += sum(array.nbytes for array in self._sparse)
+        if self._sampler is not None:
+            total += self._sampler.nbytes
         return total
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
@@ -219,28 +200,30 @@ class PreparedFeatureRepair:
         across requests."""
         advance_u, draws, jitter = variates
         nodes = self._nodes
-        clipped = np.clip(values, self._low, self._high)
-        idx = locate_cells(nodes, clipped)
-        gaps = nodes[idx + 1] - nodes[idx]
-        tau = np.clip((clipped - nodes[idx]) / gaps, 0.0, 1.0)
+        idx = locate_cells(nodes, values)
+        tau = values - nodes.take(idx)
+        tau /= self._gaps.take(idx)
+        # Neither `values` nor `tau` needs clipping into the grid: a
+        # value below it lands in cell 0 with `tau < 0`, one above it
+        # in the final cell with `tau > 1`, and both select the row the
+        # clipped value's `tau` of 0 or 1 selects (`advance_u` lies in
+        # [0, 1)).  `idx` is at most n_states - 2, so the row stays on
+        # the grid.
         if self.rounding == "stochastic":
-            advance = (advance_u < tau).astype(int)
+            rows = idx + (advance_u < tau)
         else:
-            advance = (tau >= 0.5).astype(int)
-        rows = np.minimum(idx + advance, self.n_states - 1)
+            rows = idx + (tau >= 0.5)
         if self.output == "barycentric":
-            return self._expected[rows]
-        if self._sparse is not None:
-            indices, cumulative, first, last, before = self._sparse
-            states = _sample_csr_entries(indices, cumulative, first[rows],
-                                         last[rows], before[rows], draws)
+            return self._expected.take(rows)
+        if self._sampler is not None:
+            states = self._sampler.sample(rows, draws)
         else:
             # `_cdfs` is shared state; only mutate the np.take copy.
             row_cdfs = np.take(self._cdfs, rows, axis=0)
             row_cdfs[:, -1] = 1.0  # guard round-off (< 1.0 row sums)
             states = (row_cdfs < draws[:, None]).sum(axis=1)
             states = np.minimum(states, self.n_states - 1)
-        repaired = nodes[states]
+        repaired = nodes.take(states)
         if self.output == "interpolated":
             repaired = np.clip(repaired + jitter * self._spacing,
                                self._low, self._high)
@@ -258,6 +241,19 @@ def prepare_feature_repair(feature_plan: FeaturePlan, s: int, *,
     of the Algorithm-2 hot path (see :class:`PreparedFeatureRepair`)."""
     return PreparedFeatureRepair(feature_plan, s, rounding=rounding,
                                  output=output)
+
+
+def _kernel(feature_plan: FeaturePlan, s: int, rounding: str,
+            output: str) -> PreparedFeatureRepair:
+    """The cell's kernel for these modes, built on first use and kept
+    on its feature plan."""
+    kernels = feature_plan._kernels
+    key = (s, rounding, output)
+    kernel = kernels.get(key)
+    if kernel is None:
+        kernel = kernels[key] = PreparedFeatureRepair(
+            feature_plan, s, rounding=rounding, output=output)
+    return kernel
 
 
 def _subgroup_rows(dataset: FairnessDataset, u_values):
@@ -282,7 +278,9 @@ def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
 
     Rows whose ``u`` group has no designed plan raise, because silently
     passing them through would corrupt downstream fairness measurements.
+    The repaired data set shares the input's labels and schema.
     """
+    _check_modes(rounding, output)
     if dataset.n_features != plan.n_features:
         raise ValidationError(
             f"dataset has {dataset.n_features} features, plan was designed "
@@ -293,18 +291,23 @@ def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
         raise ValidationError(
             f"plan has no design for groups u={missing}; re-run Algorithm 1 "
             "on research data covering them")
+    features = dataset.features
+    # Checked once per call: the data set was validated when it was
+    # built, but its arrays (or the archive a batch views) stay
+    # writable, and the kernels take what they are given.
+    if not np.isfinite(features).all():
+        raise ValidationError("values contain non-finite entries")
 
     generator = as_rng(rng)
-    features = dataset.features
     repaired = features.copy()
     # Row indices, not boolean masks: gathering and scattering a
     # subgroup's column through an index array is ~6x cheaper.
     for u, s, rows in _subgroup_rows(dataset, u_values):
         for k in range(dataset.n_features):
-            repaired[rows, k] = repair_feature_values(
-                features[rows, k], plan.feature_plan(u, k), s,
-                rng=generator, rounding=rounding, output=output)
-    return dataset.with_features(repaired)
+            kernel = _kernel(plan.feature_plan(u, k), s, rounding, output)
+            repaired[rows, k] = kernel(features[rows, k], generator)
+    return FairnessDataset._trusted(repaired, dataset.s, dataset.u,
+                                    dataset.y, dataset.schema)
 
 
 class DistributionalRepairer:
@@ -368,12 +371,7 @@ class DistributionalRepairer:
                  rounding: str = "stochastic", output: str = "sample",
                  n_jobs: int | None = None, executor=None,
                  sparse_plans=False, rng=None) -> None:
-        if rounding not in ROUNDING_MODES:
-            raise ValidationError(
-                f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
-        if output not in OUTPUT_MODES:
-            raise ValidationError(
-                f"unknown output {output!r}; expected {OUTPUT_MODES}")
+        _check_modes(rounding, output)
         resolve_solver(solver)  # fail fast on typos, before any fitting
         self.n_states = n_states
         self.t = t

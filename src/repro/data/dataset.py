@@ -132,6 +132,27 @@ class FairnessDataset:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "schema", schema)
 
+    @classmethod
+    def _trusted(cls, features: np.ndarray, s: np.ndarray, u: np.ndarray,
+                 y: np.ndarray | None,
+                 schema: TableSchema) -> "FairnessDataset":
+        """Wrap *pre-validated* arrays without the ``__post_init__``
+        checks, copies or label conversion.
+
+        For internal hot paths only (archive batches, repaired
+        features): the caller guarantees what the validated constructor
+        would establish — a finite float ``(n, d)`` matrix, flat int
+        ``s``/``u`` (and ``y``) labels of length ``n`` from an already
+        validated data set, and that data set's schema.
+        """
+        dataset = cls.__new__(cls)
+        object.__setattr__(dataset, "features", features)
+        object.__setattr__(dataset, "s", s)
+        object.__setattr__(dataset, "u", u)
+        object.__setattr__(dataset, "y", y)
+        object.__setattr__(dataset, "schema", schema)
+        return dataset
+
     # -- basics -------------------------------------------------------------
 
     def __len__(self) -> int:

@@ -3,10 +3,10 @@
 The paper's motivating regime is an archive far larger than the research
 set, possibly observed online.  :class:`ArchiveStream` models that: it
 yields :class:`~repro.data.dataset.FairnessDataset` batches either from a
-materialised archive (chunked) or from a generator callable (unbounded
-simulation of a live feed).  The repair pipeline consumes batches one at a
-time, so peak memory is bounded by the batch size regardless of archive
-cardinality.
+materialised archive (chunked into read-only views, so no row is copied)
+or from a generator callable (unbounded simulation of a live feed).  The
+repair pipeline consumes batches one at a time, so peak memory is bounded
+by the batch size regardless of archive cardinality.
 """
 
 from __future__ import annotations
@@ -22,17 +22,28 @@ from .dataset import FairnessDataset
 __all__ = ["ArchiveStream", "stream_batches"]
 
 
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
+
+
 def stream_batches(dataset: FairnessDataset,
                    batch_size: int) -> Iterator[FairnessDataset]:
     """Yield contiguous row batches of ``dataset`` of size ``batch_size``.
 
     The final batch may be smaller; order is preserved so repaired batches
-    can be re-assembled positionally.
+    can be re-assembled positionally.  Each batch is a read-only view of
+    the rows of ``dataset``, which was validated when it was built: no
+    row is copied or checked again, and a write through a batch raises.
     """
     batch_size = check_positive_int(batch_size, name="batch_size")
-    n = len(dataset)
-    for start in range(0, n, batch_size):
-        yield dataset.take(np.arange(start, min(start + batch_size, n)))
+    y = dataset.y
+    for start in range(0, len(dataset), batch_size):
+        rows = slice(start, start + batch_size)
+        yield FairnessDataset._trusted(
+            _read_only(dataset.features[rows]), _read_only(dataset.s[rows]),
+            _read_only(dataset.u[rows]),
+            None if y is None else _read_only(y[rows]), dataset.schema)
 
 
 class ArchiveStream:

@@ -16,6 +16,15 @@ screened plans are CSR below :data:`SPARSE_DENSITY_THRESHOLD` density;
 entropic and LP plans are dense.  Every operation below (conditionals,
 barycentric projection, inverse-CDF sampling) has a sparse path that
 never densifies.
+
+A CSR plan samples its conditional rows (Eq. 15) through one
+:class:`CSRSampler`, prepared on first use and kept with the plan
+(:meth:`TransportPlan.conditional_sampler`).  Its guide table holds one
+byte per row and bin of the uniform's range: the entry every uniform in
+the bin draws, which answers ~98% of the paper design's draws with one
+gather.  The rest take a binary search over the row's running sums,
+which gives the same entry bitwise.
+
 Build sparse plans explicitly with :meth:`TransportPlan.from_sparse` or
 convert with :meth:`TransportPlan.to_sparse` /
 :meth:`TransportPlan.to_dense`.
@@ -34,22 +43,18 @@ from ..exceptions import ValidationError
 
 __all__ = ["TransportPlan", "marginal_residual", "is_coupling",
            "sample_conditional_rows", "conditional_cumulative",
-           "dilate_mask", "refine_mask", "band_bounds", "is_banded",
-           "SPARSE_DENSITY_THRESHOLD"]
+           "CSRSampler", "dilate_mask", "refine_mask", "band_bounds",
+           "is_banded", "SPARSE_DENSITY_THRESHOLD"]
 
-#: Forward steps the CSR draw (:func:`_sample_csr_entries`) scans before
-#: handing a draw to the binary search.  The scan stops once every draw
-#: has settled, so the limit only matters for rows wider than it.  The
-#: exact solver's staircase rows hold at most 5 entries on both
-#: benchmark designs, which four steps settle (LP and screened plans are
-#: staircase-like too: at most 8 entries seen).  Measured on a
-#: 2-core VM (numpy 2.4.6) over 4,096 fresh draws, µs at limits
-#: 1/2/4/6 against the binary search: the n_Q = 50 staircase
-#: 97/102/100/101 vs 326; rows of 1-3 entries 199/75/75/75 vs 420;
-#: rows of 1-10 entries 462/396/299/208 vs 491.  Rows of 40 or more
-#: entries, which only an entropic plan stored as CSR has, cost
-#: 1.1-1.2x the binary search at any limit.
-CSR_SCAN_STEPS = 4
+#: Bins per row of the CSR draw's guide table (:class:`CSRSampler`), one
+#: byte each.  A staircase row of the exact solver holds about one
+#: breakpoint, so about one bin in 32 holds one and sends its draws to
+#: the binary search: 2.9% of the bins of the n_Q = 50 benchmark design
+#: and 1.7% of the n_Q = 2000 one.
+GUIDE_BINS = 32
+
+#: Guide entry of a bin whose two edges draw different entries.
+_AMBIGUOUS = 255
 
 #: Below this fraction of structural non-zeros a plan is worth storing as
 #: CSR: the triplet arrays (data + indices + indptr) then undercut the
@@ -253,100 +258,177 @@ def is_banded(rows, cols, shape) -> bool:
 
 
 def conditional_cumulative(conditionals) -> np.ndarray:
-    """The zero-prefixed running sum over a CSR conditional matrix's data
-    — the exact layout :func:`sample_conditional_rows` expects as its
-    ``cumulative`` argument.  Hot callers compute it once per matrix and
-    cache it; this helper is the single definition of that contract.
-    """
+    """The zero-prefixed running sum over a CSR conditional matrix's data,
+    which :class:`CSRSampler` draws on."""
     return np.concatenate([[0.0], np.cumsum(conditionals.data,
                                             dtype=float)])
 
 
-def sample_conditional_rows(conditionals, rows, uniforms, *,
-                            cumulative=None) -> np.ndarray:
+def sample_conditional_rows(conditionals, rows, uniforms) -> np.ndarray:
     """Vectorised inverse-CDF draw from selected rows of a row-stochastic
     matrix (paper Eq. 15), one target state per ``(row, uniform)`` pair.
 
     ``conditionals`` is a dense array or CSR sparse array whose rows each
     sum to one.  The sparse path works on the CSR data directly and never
-    densifies: each draw walks its row's running cumulative sums forward
-    from the row's first entry, an expected ``O(1)`` on a staircase plan,
-    and small dispatches or draws in wide rows take one binary search
-    over those sums instead (see :func:`_sample_csr_entries`; both give
-    the same state).  ``cumulative`` optionally supplies that
-    precomputed running sum (``np.concatenate([[0], np.cumsum(data)])``)
-    so hot callers (Algorithm 2's batch loop) can cache it.
+    densifies: it prepares a :class:`CSRSampler` over the matrix and
+    draws through it.  Callers that sample one matrix many times hold
+    that sampler instead (:meth:`TransportPlan.conditional_sampler`
+    memoises one per plan).
     """
     rows = np.asarray(rows)
     uniforms = np.asarray(uniforms, dtype=float)
     if _sparse.issparse(conditionals):
-        matrix = conditionals
-        if matrix.format != "csr":
-            matrix = _sparse.csr_array(matrix)
-        first = matrix.indptr[rows]
-        last = matrix.indptr[rows + 1] - 1
-        if np.any(last < first):
-            raise ValidationError(
-                "conditional matrix has empty rows; normalise it with "
-                "TransportPlan.conditional_matrix() first")
-        if cumulative is None:
-            cumulative = conditional_cumulative(matrix)
-        return _sample_csr_entries(matrix.indices, cumulative, first, last,
-                                   cumulative[first], uniforms)
+        return CSRSampler(conditionals).sample(rows, uniforms)
     cdfs = np.cumsum(conditionals[rows], axis=1)
     cdfs[:, -1] = 1.0  # guard round-off (< 1.0 row sums)
     states = (cdfs < uniforms[:, None]).sum(axis=1)
     return np.minimum(states, conditionals.shape[1] - 1)
 
 
-def _sample_csr_entries(indices, cumulative, first, last, before,
-                        uniforms) -> np.ndarray:
-    """The CSR inverse-CDF draw behind :func:`sample_conditional_rows`,
-    given each draw's row as its ``first`` / ``last`` stored entry and
-    the running mass ``before`` it (``cumulative[first]``).  Callers
-    that sample one table many times (a prepared Algorithm-2 kernel)
-    tabulate those per row once and gather them per call.
+class CSRSampler:
+    """Inverse-CDF draws from the rows of a CSR row-stochastic matrix,
+    prepared once per matrix.  This is the one CSR draw: behind
+    :func:`sample_conditional_rows`,
+    :meth:`~repro.core.plan.FeaturePlan.sample_targets`, joint repair
+    and the Algorithm-2 kernel
+    :class:`~repro.core.repair.PreparedFeatureRepair`.
 
     Row r's CDF at its j-th stored entry is ``cum[first+j+1] -
-    cum[first]``; the sampled entry is ``first`` plus the count of
-    entries whose CDF is below ``u``, clamped into the row against
-    round-off.  From :data:`~repro.density.grid.GUESS_CROSSOVER` draws
-    on, that count comes from a forward scan: start at ``first`` and
-    advance while ``cumulative[entry + 1] < before + u`` and
-    ``entry < last``.  A staircase row of the exact solver holds a
-    handful of entries (at most 5 on the benchmark designs), so nearly
-    every draw settles within :data:`CSR_SCAN_STEPS` steps; draws still
-    unsettled after them (rows wider than the limit) take the binary
-    search, as do smaller dispatches and rows broadcast against the
-    draws.  Because the running sums never decrease, the scan stops
-    at the entry the binary search finds, so both give the same entry
-    bitwise.
+    cum[first]`` over the zero-prefixed running sum ``cum`` of the data
+    (:func:`conditional_cumulative`).  A uniform ``u`` draws the entry
+    that a binary search for ``cum[first] + u`` finds among the running
+    sums, clamped into the row (:func:`_search_entries`), and its
+    column is the drawn state.
+
+    Because the running sums never decrease, the drawn entry never
+    decreases as ``u`` grows.  So every ``u`` in a bin ``[b/B, (b+1)/B)``
+    of :data:`GUIDE_BINS` ``= B`` bins draws the same entry whenever the
+    bin's two edges ``b/B`` and ``(b+1)/B`` do.  The guide table stores
+    that entry's offset in its row, one byte per ``(row, bin)``, and
+    255 where the edges differ or the offset does not fit a byte.  From
+    :data:`~repro.density.grid.GUESS_CROSSOVER` draws on, a draw reads
+    its bin's entry with one gather (the "indexed search" of Chen &
+    Asau, 1974); draws in ambiguous bins, smaller dispatches, rows
+    broadcast against the draws and uniforms outside ``[0, 1)`` take
+    the binary search.  Both give the same entry bitwise.  The table is
+    built on the first dispatch that uses it, so a service answering
+    small requests never builds it.
     """
-    target = before + uniforms
-    if target.size < GUESS_CROSSOVER or np.shape(first) != target.shape:
-        return indices[_search_entries(cumulative, first, last, target)]
-    following = cumulative[1:]
-    entry = first.copy()
-    for _ in range(CSR_SCAN_STEPS):
-        step = following[entry] < target
-        step &= entry < last
-        if not step.any():
-            return indices[entry]
-        entry += step
-    unsettled = following[entry] < target
-    unsettled &= entry < last
-    if unsettled.any():
-        entry[unsettled] = _search_entries(
-            cumulative, first[unsettled], last[unsettled],
-            target[unsettled])
-    return indices[entry]
+
+    __slots__ = ("indices", "cumulative", "first", "last", "_guide")
+
+    def __init__(self, conditionals) -> None:
+        matrix = conditionals
+        if matrix.format != "csr":
+            matrix = _sparse.csr_array(matrix)
+        first = matrix.indptr[:-1].astype(np.intp)
+        last = matrix.indptr[1:].astype(np.intp) - 1
+        if np.any(last < first):
+            raise ValidationError(
+                "conditional matrix has empty rows; normalise it with "
+                "TransportPlan.conditional_matrix() first")
+        self.indices = matrix.indices
+        self.cumulative = conditional_cumulative(matrix)
+        self.first = first
+        self.last = last
+        self._guide = None
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the sampler's own arrays (the guide once built)."""
+        total = (self.cumulative.nbytes + self.first.nbytes
+                 + self.last.nbytes)
+        if self._guide is not None:
+            total += self._guide.nbytes
+        return total
+
+    def sample(self, rows: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """The drawn state (column) per ``(row, uniform)`` pair: ``rows``
+        an integer array of row indices, ``uniforms`` a float array of
+        the same shape (or broadcast against one row)."""
+        first = self.first.take(rows)
+        if (uniforms.size < GUESS_CROSSOVER or first.shape != uniforms.shape
+                or not 0.0 <= uniforms.min() <= uniforms.max() < 1.0):
+            return self.indices[self._search(first, self.last.take(rows),
+                                             uniforms)]
+        guide = self._guide
+        if guide is None:
+            # Threads that race here build equal tables; one is kept.
+            guide = self._guide = _guide_table(self.cumulative, self.first,
+                                               self.last)
+        flat = np.multiply(rows, GUIDE_BINS, dtype=np.intp)
+        bins = uniforms * GUIDE_BINS  # exact: a power-of-two scaling
+        flat += bins.astype(np.intp)
+        offsets = guide.take(flat)
+        entry = first + offsets
+        ambiguous = np.flatnonzero(offsets == _AMBIGUOUS)
+        if ambiguous.size:
+            entry[ambiguous] = self._search(
+                first.take(ambiguous), self.last.take(rows.take(ambiguous)),
+                uniforms.take(ambiguous))
+        return self.indices.take(entry)
+
+    def _search(self, first, last, uniforms) -> np.ndarray:
+        return _search_entries(self.cumulative, first, last,
+                               self.cumulative[first] + uniforms)
+
+
+def _guide_table(cumulative, first, last) -> np.ndarray:
+    """The flat ``(n_rows · GUIDE_BINS)`` uint8 guide of
+    :class:`CSRSampler`, in ``O(nnz + GUIDE_BINS · n_rows)``.
+
+    Edge ``c`` of row r is the draw target ``cum[first] + c/B``, and the
+    entry it draws lies as many entries past ``first`` as the row has
+    inner running sums (all but its total) below the target.  So each
+    inner sum is placed among its row's ``B + 1`` edges: the count of
+    edges at or below it is guessed from ``(sum - cum[first]) · B`` and
+    corrected by one step each way, as
+    :func:`~repro.density.grid.locate_cells` places values among grid
+    nodes, and sums still misplaced count all edges.  A histogram of
+    those counts per row, summed along the row, gives each edge's
+    offset; bin b is ambiguous exactly when some sum lies between its
+    edges, i.e. when it adds to the histogram at ``b + 1``.
+    """
+    n_rows = first.size
+    before = cumulative[first]
+    inner = np.ones(cumulative.size, dtype=bool)
+    inner[0] = False
+    inner[last + 1] = False
+    sums = cumulative[inner]
+    row_of = np.repeat(np.arange(n_rows), last - first)
+    base = before[row_of]
+    # Edge c sits at base + steps[c]; the +inf step closes the top.
+    steps = np.append(np.arange(GUIDE_BINS + 1) / GUIDE_BINS, np.inf)
+    placed = ((sums - base) * GUIDE_BINS).astype(np.intp)
+    placed += 1
+    np.clip(placed, 1, GUIDE_BINS + 1, out=placed)
+    # Edge 0 is `before` itself, at or below every inner sum of its row,
+    # so one step down never leaves `placed` below 1.
+    placed -= sums < base + steps[placed - 1]
+    placed += sums >= base + steps[placed]
+    wrong = sums < base + steps[placed - 1]
+    wrong |= sums >= base + steps[placed]
+    if wrong.any():
+        placed[wrong] = (base[wrong, None] + steps[None, :-1]
+                         <= sums[wrong, None]).sum(axis=1)
+    width = GUIDE_BINS + 2
+    hist = np.bincount(row_of * width + placed,
+                       minlength=n_rows * width).reshape(n_rows, width)
+    offsets = np.cumsum(hist[:, :GUIDE_BINS], axis=1, dtype=np.int32)
+    np.minimum(offsets, _AMBIGUOUS, out=offsets)
+    guide = offsets.astype(np.uint8)
+    guide[hist[:, 1:GUIDE_BINS + 1] > 0] = _AMBIGUOUS
+    return guide.ravel()
 
 
 def _search_entries(cumulative, first, last, target) -> np.ndarray:
-    """The binary-search form of :func:`_sample_csr_entries`: the last
-    entry whose running sum is below ``target``, clamped into
-    ``[first, last]``."""
-    entry = np.searchsorted(cumulative, target, side="left") - 1
+    """The binary-search draw of :class:`CSRSampler`: the last entry
+    whose running sum is below ``target``, clamped into ``[first,
+    last]``.  Searching the sums after the leading zero counts the
+    entries before that one directly; it differs from ``searchsorted(
+    cumulative, target) - 1`` only for targets at or below zero, which
+    the clamp sends to ``first`` either way."""
+    entry = cumulative[1:].searchsorted(target, side="left")
     np.maximum(entry, first, out=entry)
     np.minimum(entry, last, out=entry)
     return entry
@@ -599,9 +681,26 @@ class TransportPlan:
         return _sparse.csr_array((data, matrix.indices, matrix.indptr),
                                  shape=matrix.shape)
 
+    def conditional_sampler(self) -> CSRSampler:
+        """The :class:`CSRSampler` over this CSR plan's conditional rows,
+        built on first use and kept with the plan, so every caller that
+        samples the plan shares one."""
+        sampler = self.__dict__.get("_sampler")
+        if sampler is None:  # a racing thread builds an equal one
+            if not self.is_sparse:
+                raise ValidationError(
+                    "conditional_sampler needs a CSR plan; dense plans "
+                    "sample through their row-CDF table")
+            sampler = CSRSampler(self.conditional_matrix())
+            object.__setattr__(self, "_sampler", sampler)
+        return sampler
+
     def sample_conditional(self, rows, uniforms) -> np.ndarray:
         """Inverse-CDF draw of one target state per ``(row, uniform)``
         pair — the sampler of Algorithm 2 Eq. 15, storage-agnostic."""
+        if self.is_sparse:
+            return self.conditional_sampler().sample(
+                np.asarray(rows), np.asarray(uniforms, dtype=float))
         return sample_conditional_rows(self.conditional_matrix(), rows,
                                        uniforms)
 

@@ -29,8 +29,8 @@ import numpy as np
 from .._validation import as_rng
 from ..core.cache import LRUCache
 from ..core.plan import RepairPlan
-from ..core.repair import (OUTPUT_MODES, ROUNDING_MODES,
-                           PreparedFeatureRepair, _subgroup_rows)
+from ..core.repair import (PreparedFeatureRepair, _check_modes,
+                           _subgroup_rows)
 from ..core.serialize import ShardedPlanArchive, load_plan, _is_manifest
 from ..data.dataset import FairnessDataset
 from ..exceptions import DataError, ReproError, ValidationError
@@ -94,9 +94,10 @@ class RepairService:
         with (fixed per service so responses stay comparable).
     cache_size:
         Bound on resident :class:`PreparedFeatureRepair` kernels — the
-        per-``(u, s, k)`` sampling state (dense row-CDF tables are
-        ``O(n_Q²)`` each).  Eviction is LRU; evicted cells rebuild on
-        next use.
+        per-``(u, s, k)`` sampling state.  Each kernel owns its dense
+        row-CDF table (``O(n_Q²)``); a CSR transport's ``O(nnz)``
+        sampler lives with the plan.  Eviction is LRU; evicted cells
+        rebuild on next use.
     """
 
     def __init__(self, plan, *, rounding: str = "stochastic",
@@ -105,12 +106,7 @@ class RepairService:
             raise ValidationError(
                 "RepairService expects a RepairPlan or "
                 f"ShardedPlanArchive, got {type(plan).__name__}")
-        if rounding not in ROUNDING_MODES:
-            raise ValidationError(
-                f"unknown rounding {rounding!r}; expected {ROUNDING_MODES}")
-        if output not in OUTPUT_MODES:
-            raise ValidationError(
-                f"unknown output {output!r}; expected {OUTPUT_MODES}")
+        _check_modes(rounding, output)
         self.plan = plan
         self.rounding = rounding
         self.output = output
@@ -178,9 +174,8 @@ class RepairService:
         n_rows = 0
         for i, request in enumerate(requests):
             dataset = request.dataset
-            u_values = dataset.u_values
             try:
-                self._validate(dataset, u_values)
+                cells = self._validate(dataset)
             except ReproError as exc:
                 results[i] = exc
                 continue
@@ -190,13 +185,11 @@ class RepairService:
             # Mirrors repair_dataset's loop nest exactly — including its
             # random-stream consumption order — so seeded requests match
             # the offline path bitwise.
-            for u, s, rows in _subgroup_rows(dataset, u_values):
-                for k in range(dataset.n_features):
-                    key = (u, k, s)
-                    prepared = self._prepared(key)
+            for u, s, rows, kernels in cells:
+                for k, prepared in enumerate(kernels):
                     values = dataset.features[rows, k]
                     variates = prepared.draw(rng, values.size)
-                    work.setdefault(key, []).append(
+                    work.setdefault((u, k, s), []).append(
                         (i, rows, k, values, variates))
         for key, items in work.items():
             prepared = self._prepared(key)
@@ -228,17 +221,26 @@ class RepairService:
                 self.plan.feature_plan(u, k), s, rounding=self.rounding,
                 output=self.output))
 
-    def _validate(self, dataset: FairnessDataset, u_values) -> None:
+    def _validate(self, dataset: FairnessDataset) -> list:
+        """Check one request against the plan before any of its
+        randomness is drawn, so a request the plan cannot serve fails
+        alone.  Returns its ``(u, s, rows, kernels)`` subgroups in the
+        offline loop's order, with one kernel per feature; a subgroup
+        whose ``(u, s)`` has no designed transport raises here."""
         if dataset.n_features != self.plan.n_features:
             raise ValidationError(
                 f"dataset has {dataset.n_features} features, plan was "
                 f"designed for {self.plan.n_features}")
+        u_values = dataset.u_values
         missing = [int(u) for u in u_values
                    if not self.plan.covers(int(u))]
         if missing:
             raise ValidationError(
                 f"plan has no design for groups u={missing}; re-run "
                 "Algorithm 1 on research data covering them")
+        return [(u, s, rows, [self._prepared((u, k, s))
+                              for k in range(dataset.n_features)])
+                for u, s, rows in _subgroup_rows(dataset, u_values)]
 
     def stats(self) -> dict:
         """Service counters + cache (and shard) accounting."""

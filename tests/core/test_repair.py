@@ -277,6 +277,30 @@ class TestPreparedFeatureRepair:
                   for j in range(3)))
         np.testing.assert_array_equal(merged, np.concatenate(separate))
 
+    @pytest.mark.parametrize("rounding,output", [
+        ("stochastic", "sample"),
+        ("nearest", "sample"),
+        ("stochastic", "barycentric"),
+        ("nearest", "interpolated"),
+    ])
+    @pytest.mark.parametrize("size", [40, 600])
+    def test_values_off_the_grid_repair_as_if_clipped(
+            self, fitted_feature_plan, rng, rounding, output, size):
+        # The kernel clips neither values nor tau: a value off the grid
+        # must select the row its clipped value selects, on both sides
+        # of the search crossover and as far out as a float goes.
+        grid = fitted_feature_plan.grid
+        span = grid.high - grid.low
+        values = rng.uniform(grid.low - span, grid.high + span, size)
+        values[:4] = [-1e300, 1e300, np.nextafter(grid.low, -np.inf),
+                      np.nextafter(grid.high, np.inf)]
+        prepared = prepare_feature_repair(fitted_feature_plan, 0,
+                                          rounding=rounding, output=output)
+        np.testing.assert_array_equal(
+            prepared(values, np.random.default_rng(5)),
+            prepared(np.clip(values, grid.low, grid.high),
+                     np.random.default_rng(5)))
+
     def test_draw_consumes_stream_like_slow_path(self,
                                                  fitted_feature_plan):
         # Same generator state afterwards => drop-in inside the
@@ -289,6 +313,15 @@ class TestPreparedFeatureRepair:
         repair_feature_values(np.zeros(n), fitted_feature_plan, 0,
                               rng=slow_rng)
         assert fast_rng.random() == slow_rng.random()
+
+    def test_seed_feeds_one_stream(self, fitted_feature_plan, rng):
+        # An integer seed makes one generator for the whole call, so the
+        # Bernoulli trial and the row draw take different uniforms.
+        values = rng.normal(size=300)
+        prepared = prepare_feature_repair(fitted_feature_plan, 0)
+        np.testing.assert_array_equal(
+            repair_feature_values(values, fitted_feature_plan, 0, rng=3),
+            prepared(values, np.random.default_rng(3)))
 
     def test_empty_values(self, fitted_feature_plan):
         prepared = prepare_feature_repair(fitted_feature_plan, 0)

@@ -1,23 +1,25 @@
-"""Differential tests: Algorithm 2's guess-and-check kernels vs the
-binary search they replace.
+"""Differential tests: Algorithm 2's table-speed kernels vs the binary
+search they replace.
 
 Two kernels skip :func:`numpy.searchsorted` on large dispatches:
 
 * :func:`repro.density.grid.locate_cells` guesses each value's grid cell
   from the mean node spacing and corrects it by one step each way;
-* :func:`repro.ot.coupling._sample_csr_entries` scans each draw's CSR
-  row forward for at most :data:`~repro.ot.coupling.CSR_SCAN_STEPS`
-  entries.
+* :class:`repro.ot.coupling.CSRSampler` reads each draw's entry from a
+  one-byte guide table per CSR row, whose bins answer every uniform
+  between their edges when both edges draw the same entry.
 
 Both promise the binary search's answer *bitwise* on every input, with
 the binary search as their fallback.  That is a claim about float
 edge cases (values on nodes, grids a few ulps wide, heavy-tailed node
-gaps, row sums that round below one, stored zeros), so this suite
-generates them with hypothesis and compares against a plain
-``np.searchsorted`` reference on both sides of
-:data:`~repro.density.grid.GUESS_CROSSOVER`.  It also pins the two
-constants: which path runs just below and at the crossover, and which
-draws a scan of exactly the step limit settles.
+gaps, uniforms on bin edges, row sums that round below one, stored
+zeros, rows too wide for a byte offset), so this suite generates them
+with hypothesis and compares against a plain ``np.searchsorted``
+reference on both sides of :data:`~repro.density.grid.GUESS_CROSSOVER`.
+It also checks the guide table's fast build against a binary search at
+every edge, pins which path runs just below and at the crossover, and
+pins how many of the paper design's draws the table leaves to the
+search.
 
 The budget scales with the hypothesis profile: the default ``repro``
 profile keeps tier-1 fast; the ``ci`` profile
@@ -31,6 +33,7 @@ import contextlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 pytest.importorskip("hypothesis")
 
@@ -42,8 +45,9 @@ from repro.density import grid as grid_module  # noqa: E402
 from repro.density.grid import (GUESS_CROSSOVER, locate_cells,  # noqa: E402
                                 uniform_grid)
 from repro.ot import coupling  # noqa: E402
-from repro.ot.coupling import (CSR_SCAN_STEPS,  # noqa: E402
-                               _sample_csr_entries, conditional_cumulative)
+from repro.ot.coupling import (GUIDE_BINS, CSRSampler,  # noqa: E402
+                               _csr_from_canonical, _guide_table,
+                               _search_entries)
 
 #: Dispatch sizes on both sides of the crossover.
 SIZES = (1, 7, GUESS_CROSSOVER - 1, GUESS_CROSSOVER, 3 * GUESS_CROSSOVER)
@@ -167,14 +171,18 @@ def test_uniform_grids_never_fall_back(n, offset, span, seed, clip):
 @st.composite
 def csr_tables(draw):
     """Row-stochastic CSR tables as ``(indices, indptr, data)``: rows of
-    1 to 40 entries (many wider than the scan limit), stored zeros
-    (flat runs in the running sum), tiny weights, and int32 or int64
-    index arrays."""
+    1 to 300 entries (many wider than the guide's bins, some wider than
+    a byte offset reaches), stored zeros (flat runs in the running sum),
+    tiny weights, dyadic weights whose breakpoints fall on bin edges,
+    and int32 or int64 index arrays."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n_rows = draw(st.integers(1, 60))
-    max_width = draw(st.sampled_from([1, 2, 5, CSR_SCAN_STEPS + 2, 40]))
+    max_width = draw(st.sampled_from([1, 2, 5, 40, 300]))
     widths = rng.integers(1, max_width + 1, n_rows)
-    weights = rng.exponential(size=widths.sum())
+    if draw(st.booleans()):
+        weights = rng.exponential(size=widths.sum())
+    else:
+        weights = 2.0 ** -rng.integers(0, 6, widths.sum())
     weights[rng.random(weights.size) < 0.15] = 0.0
     weights[rng.random(weights.size) < 0.05] = 1e-300
     row_of = np.repeat(np.arange(n_rows), widths)
@@ -191,32 +199,93 @@ def csr_tables(draw):
     return indices, indptr, data
 
 
+def sampler_of(table):
+    """A :class:`CSRSampler` over the table's own arrays (scipy's
+    constructor may narrow the index dtype)."""
+    indices, indptr, data = table
+    shape = (indptr.size - 1, int(indices.max()) + 1)
+    return CSRSampler(_csr_from_canonical(data, indices, indptr, shape))
+
+
+def edge_uniforms(size, rng):
+    """Uniforms on the guide's bin edges ``b / GUIDE_BINS`` and both
+    float neighbours of each (clipped into ``[0, 1)``)."""
+    edges = rng.integers(0, GUIDE_BINS, size) / GUIDE_BINS
+    side = rng.integers(-1, 2, size)
+    below = np.nextafter(edges, -np.inf)
+    above = np.nextafter(edges, np.inf)
+    picked = np.choose(side + 1, [below, edges, above])
+    return np.clip(picked, 0.0, np.nextafter(1.0, 0.0))
+
+
 @given(table=csr_tables(), size=st.sampled_from(SIZES),
        seed=st.integers(0, 2**32 - 1))
 def test_csr_draw_matches_binary_search(table, size, seed):
     indices, indptr, data = table
     rng = np.random.default_rng(seed)
-    cumulative = np.concatenate([[0.0], np.cumsum(data, dtype=float)])
+    sampler = sampler_of(table)
+    cumulative = sampler.cumulative
     rows = rng.integers(0, indptr.size - 1, size)
     first, last = indptr[rows], indptr[rows + 1] - 1
     before = cumulative[first]
-    # Plain uniforms, both extremes, and the exact CDF breakpoints of
-    # each row (ties with the running sum).
+    # Plain uniforms, both extremes, the exact CDF breakpoints of each
+    # row (ties with the running sum), and the guide's bin edges with
+    # their float neighbours.
     breakpoints = cumulative[np.minimum(first + rng.integers(0, 6, size),
                                         last + 1)] - before
     pools = [rng.random(size), np.zeros(size),
              np.full(size, np.nextafter(1.0, 0.0)),
-             np.clip(breakpoints, 0.0, np.nextafter(1.0, 0.0))]
+             np.clip(breakpoints, 0.0, np.nextafter(1.0, 0.0)),
+             edge_uniforms(size, rng)]
     uniforms = np.choose(rng.integers(0, len(pools), size), pools)
-    got = _sample_csr_entries(indices, cumulative, first, last, before,
-                              uniforms)
+    got = sampler.sample(rows, uniforms)
     expected = reference_entries(indices, cumulative, first, last, before,
                                  uniforms)
     assert got.dtype == expected.dtype
     np.testing.assert_array_equal(got, expected)
 
 
-# -- the two constants, on both sides ----------------------------------------
+@given(table=csr_tables())
+def test_guide_table_matches_search_at_every_edge(table):
+    # The guess-and-correct build against the plain one: a binary
+    # search at each of the B + 1 edges of every row.  Bin b holds the
+    # offset both its edges draw, or 255 when they differ or the offset
+    # does not fit a byte.
+    sampler = sampler_of(table)
+    first, last = sampler.first, sampler.last
+    cumulative = sampler.cumulative
+    edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
+    entry = _search_entries(
+        cumulative, first[:, None], last[:, None],
+        cumulative[first][:, None] + edges[None, :])
+    offset = entry - first[:, None]
+    lower, upper = offset[:, :-1], offset[:, 1:]
+    expected = np.where((lower == upper) & (lower < 255), lower, 255)
+    got = _guide_table(cumulative, first, last)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got.reshape(-1, GUIDE_BINS), expected)
+
+
+@given(table=csr_tables(), seed=st.integers(0, 2**32 - 1))
+def test_uniforms_outside_the_unit_interval_match_the_search(table, seed):
+    # The guide only covers [0, 1); other uniforms (a caller's own)
+    # must still draw what the binary search draws.
+    indices, indptr, _ = table
+    rng = np.random.default_rng(seed)
+    sampler = sampler_of(table)
+    cumulative = sampler.cumulative
+    size = 2 * GUESS_CROSSOVER
+    rows = rng.integers(0, indptr.size - 1, size)
+    first, last = indptr[rows], indptr[rows + 1] - 1
+    uniforms = rng.random(size)
+    uniforms[rng.integers(0, size)] = rng.choice([1.0, 1.5, -0.25])
+    np.testing.assert_array_equal(
+        sampler.sample(rows, uniforms),
+        reference_entries(indices, cumulative, first, last,
+                          cumulative[first], uniforms))
+
+
+# -- the crossover and the guide's coverage ----------------------------------
 
 
 @pytest.mark.parametrize("size,searched", [
@@ -231,81 +300,55 @@ def test_locate_crossover(size, searched):
 
 
 def _equal_row(width):
-    """``(indices, cumulative)`` of one row of ``width`` equal entries."""
-    cumulative = np.concatenate([[0.0], np.cumsum(np.full(width,
-                                                          1.0 / width))])
-    return np.arange(width), cumulative
+    """A one-row :class:`CSRSampler` over ``width`` equal entries."""
+    return CSRSampler(sparse.csr_array(np.full((1, width), 1.0 / width)))
 
 
 @pytest.mark.parametrize("size,searched", [
-    (GUESS_CROSSOVER - 1, [GUESS_CROSSOVER - 1]), (GUESS_CROSSOVER, [])])
+    (GUESS_CROSSOVER - 1, list(range(GUIDE_BINS))), (GUESS_CROSSOVER, [16])])
 def test_draw_crossover(size, searched):
-    indices, cumulative = _equal_row(2)
-    first = np.zeros(size, dtype=np.intp)
+    # `searched` lists the bins whose draws reach the binary search:
+    # all of them below the crossover; from it on, only bin 16, whose
+    # lower edge is the row's breakpoint 0.5 (u = 0.5 draws entry 0,
+    # any larger u in the bin entry 1).
+    sampler = _equal_row(2)
+    rows = np.zeros(size, dtype=np.intp)
     uniforms = np.random.default_rng(0).random(size)
+    in_searched = np.isin((uniforms * GUIDE_BINS).astype(int), searched)
     with counting(coupling, "_search_entries") as calls:
-        got = _sample_csr_entries(indices, cumulative, first, first + 1,
-                                  np.zeros(size), uniforms)
+        got = sampler.sample(rows, uniforms)
     np.testing.assert_array_equal(got, uniforms > 0.5)
-    assert calls == searched
+    assert in_searched.any()
+    assert calls == [int(in_searched.sum())]
 
 
-@pytest.mark.parametrize("steps,searched", [
-    (CSR_SCAN_STEPS, []), (CSR_SCAN_STEPS + 1, [1])])
-def test_scan_step_limit(steps, searched):
-    # A draw in the last entry of a (steps + 1)-entry row needs `steps`
-    # forward steps: the scan settles it up to the limit, and hands it
-    # to the binary search beyond.  Every other draw stays on entry 0.
-    indices, cumulative = _equal_row(steps + 1)
-    first = np.zeros(GUESS_CROSSOVER, dtype=np.intp)
-    uniforms = np.zeros(GUESS_CROSSOVER)
-    uniforms[0] = np.nextafter(1.0, 0.0)
-    with counting(coupling, "_search_entries") as calls:
-        got = _sample_csr_entries(indices, cumulative, first, first + steps,
-                                  np.zeros(GUESS_CROSSOVER), uniforms)
-    assert got[0] == steps and not got[1:].any()
-    assert calls == searched
-
-
-def test_staircase_draws_settle_in_the_scan():
-    # The limit covers the exact solver's staircases: on the paper's
-    # simulated design, whose widest rows hold 5 entries, no draw
-    # reaches the binary search.
+@pytest.mark.parametrize("n_states", [50, 2000])
+def test_guide_answers_most_staircase_draws(n_states):
+    # A staircase row of the exact solver holds about one breakpoint,
+    # so about one bin in 32 is ambiguous: measured 2.9% at n_Q = 50 and
+    # 2.2% at n_Q = 2000 on this design (1.7% at n_Q = 2000 with the
+    # 20,000 research rows of the fine-grid benchmark).
     research = paper_simulation_spec().sample(
         500, rng=np.random.default_rng(1))
-    plan = design_repair(research, 50)
-    rng = np.random.default_rng(2)
-    widest = 0
+    plan = design_repair(research, n_states)
+    shares = []
     for feature_plan in plan.feature_plans.values():
         for transport in feature_plan.transports.values():
-            conditionals = transport.conditional_matrix()
-            cumulative = conditional_cumulative(conditionals)
-            indptr = conditionals.indptr
-            widest = max(widest, int(np.diff(indptr).max()))
-            # Every row, half the draws in its last entry.
-            rows = np.repeat(np.arange(indptr.size - 1), 8)
-            first, last = indptr[rows], indptr[rows + 1] - 1
-            uniforms = rng.random(rows.size)
-            uniforms[::2] = np.nextafter(1.0, 0.0)
-            with counting(coupling, "_search_entries") as calls:
-                got = _sample_csr_entries(conditionals.indices, cumulative,
-                                          first, last, cumulative[first],
-                                          uniforms)
-            assert calls == []
-            np.testing.assert_array_equal(
-                got, reference_entries(conditionals.indices, cumulative,
-                                       first, last, cumulative[first],
-                                       uniforms))
-    assert widest == CSR_SCAN_STEPS + 1
+            sampler = transport.conditional_sampler()
+            guide = _guide_table(sampler.cumulative, sampler.first,
+                                 sampler.last)
+            shares.append(np.mean(guide == 255))
+    assert 0.0 < max(shares) <= 0.035
 
 
 def test_one_row_broadcast_against_many_draws():
     # A scalar row sampled many times (TransportPlan.sample_conditional
     # accepts it) takes the binary search, wide row or not.
-    indices, cumulative = _equal_row(CSR_SCAN_STEPS + 3)
+    sampler = _equal_row(7)
     uniforms = np.random.default_rng(0).random(2 * GUESS_CROSSOVER)
-    first, last = np.int64(0), np.int64(indices.size - 1)
+    row = np.int64(0)
     np.testing.assert_array_equal(
-        _sample_csr_entries(indices, cumulative, first, last, 0.0,
-                            uniforms),
-        reference_entries(indices, cumulative, first, last, 0.0, uniforms))
+        sampler.sample(row, uniforms),
+        reference_entries(sampler.indices, sampler.cumulative,
+                          sampler.first[row], sampler.last[row], 0.0,
+                          uniforms))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.design import design_repair
+from repro.core.plan import FeaturePlan, RepairPlan
 from repro.core.repair import repair_dataset
 from repro.core.serialize import save_plan
 from repro.data.dataset import FairnessDataset
@@ -185,6 +186,35 @@ class TestValidationAndErrors:
         assert isinstance(results[0], ValidationError)
         assert isinstance(results[1], np.ndarray)
         assert service.stats()["errors"] == 1
+
+    def test_missing_transport_is_isolated(self, designed):
+        # Hand-built plans and loaded archives can lack a protected
+        # class: here group u = 1 has no transport for s = 1.  A request
+        # with rows in that cell fails alone; the request merged with it
+        # is served bitwise like the offline repair.
+        plan, queries = designed
+        partial = RepairPlan(
+            {(u, k): (FeaturePlan(cell.grid, cell.marginals,
+                                  cell.barycenter, {0: cell.transports[0]})
+                      if u == 1 else cell)
+             for (u, k), cell in plan.feature_plans.items()},
+            plan.n_features, plan.t, plan.metadata)
+        uncovered = (queries.u == 1) & (queries.s == 1)
+        bad = queries.take(np.arange(40))
+        good = queries.take(np.flatnonzero(~uncovered)[:40])
+        assert uncovered[:40].any()
+        service = RepairService(partial)
+        results = service.repair_many([
+            RepairRequest(bad, np.random.default_rng(0)),
+            RepairRequest(good, np.random.default_rng(1))])
+        assert isinstance(results[0], ValidationError)
+        assert "no transport plan for s=1" in str(results[0])
+        offline = repair_dataset(good, partial,
+                                 rng=np.random.default_rng(1)).features
+        np.testing.assert_array_equal(results[1].view(np.uint64),
+                                      offline.view(np.uint64))
+        stats = service.stats()
+        assert (stats["requests"], stats["errors"]) == (2, 1)
 
     def test_uncovered_group_rejected(self, designed):
         plan, queries = designed
