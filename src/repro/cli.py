@@ -162,11 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "arrays in the saved archive; float32 "
                              "halves the plan bytes on disk (loaders "
                              "up-convert, values round-trip to ~1e-7)")
-    design.add_argument("--sparse-plans", action="store_true",
-                        help="store transport plans CSR-sparse; exact "
-                             "plans are CSR already, and for solvers "
-                             "with dense plans this cuts the archive "
-                             "roughly n_Q-fold when they are sparse")
     design.add_argument("--index-dtype", default=None,
                         choices=("int32", "int64"),
                         help="width of the CSR index arrays in sparse "
@@ -316,7 +311,7 @@ def _run_design(args) -> int:
         n_states=args.n_states, t=args.t, solver=args.solver,
         solver_opts=solver_opts,
         marginal_estimator=args.marginal_estimator, n_jobs=args.n_jobs,
-        executor=args.executor, sparse_plans=args.sparse_plans)
+        executor=args.executor)
     repairer.fit(research)
     shard_by = args.plan_shard
     if shard_by is not None and shard_by.lstrip("-").isdigit():

@@ -1,13 +1,13 @@
 """Bounded LRU caching for hot repair state.
 
-A long-lived repair service keeps per-``(u, s, k)`` sampling state warm
-— the dense row-CDF tables are ``O(n_Q²)`` each, so an unbounded cache
-over a large design would quietly eat the worker's memory.
-:class:`LRUCache` is the shared bound: capacity-limited, thread-safe,
-with the hit/miss/eviction accounting the ``/stats`` endpoint reports.
-It lives in ``core`` because :class:`~repro.core.plan.FeaturePlan`
-memoises its densified sparse CDF tables in one too, and ``core`` never
-imports :mod:`repro.serve`.
+A long-lived repair service keeps its per-``(u, s, k)`` repair kernels
+warm, and over a large design an unbounded cache of them would grow
+with every cell ever requested.  :class:`LRUCache` is the shared bound:
+capacity-limited, thread-safe, with the hit/miss/eviction accounting
+the ``/stats`` endpoint reports.  It lives in ``core`` because
+:class:`~repro.core.plan.FeaturePlan` memoises its ``O(n_Q²)``
+inspection CDF tables in one too, and ``core`` never imports
+:mod:`repro.serve`.
 """
 
 from __future__ import annotations

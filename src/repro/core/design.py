@@ -44,7 +44,7 @@ from ..density.grid import InterpolationGrid
 from ..density.kde import interpolate_pmf
 from ..exceptions import ValidationError
 from ..ot.barycenter import barycenter_1d, project_onto_grid
-from ..ot.coupling import SPARSE_DENSITY_THRESHOLD, TransportPlan
+from ..ot.coupling import TransportPlan, is_sparse_enough
 from ..ot.problem import OTBatch, OTProblem
 from ..ot.registry import Solver, filter_opts, resolve_solver
 from ..ot.solve import solve_many
@@ -52,9 +52,6 @@ from .executor import resolve_executor
 from .plan import FeaturePlan, RepairPlan
 
 __all__ = ["design_repair", "design_feature_plan", "SOLVERS"]
-
-#: Valid ``sparse_plans`` storage policies.
-SPARSE_PLAN_MODES = (False, True, "auto")
 
 #: The paper's original plan-solver trio; kept for backwards compatibility.
 #: Any solver registered with :func:`repro.ot.register_solver` is accepted.
@@ -73,9 +70,13 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
                         bandwidth_method: str = "silverman",
                         padding: float = 0.0,
                         epsilon: float = 5e-3,
-                        solver_opts: dict | None = None,
-                        sparse_plans=False) -> FeaturePlan:
+                        solver_opts: dict | None = None) -> FeaturePlan:
     """Design the repair machinery for a single ``(u, k)`` cell.
+
+    Each transport is stored CSR when at most
+    :data:`~repro.ot.coupling.SPARSE_DENSITY_THRESHOLD` of its entries
+    carry mass (the default ``"exact"`` solver's staircases always are
+    CSR), and dense otherwise.
 
     Parameters
     ----------
@@ -113,17 +114,7 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
         the resolved solver's signature does not accept are dropped —
         computed **once per cell batch** via
         :func:`~repro.ot.registry.filter_opts`, never per solve.
-    sparse_plans:
-        Plan-storage policy: ``False`` (default — keep whatever storage
-        the solver produced: the default ``"exact"`` solver returns its
-        ``O(n_Q)``-support monotone plans as CSR, the simplex and the
-        screened hybrid return CSR below
-        :data:`~repro.ot.coupling.SPARSE_DENSITY_THRESHOLD` density,
-        while the LP and entropic solvers return dense plans),
-        ``True`` (convert every plan to CSR), or ``"auto"`` (convert
-        dense plans whose density is at most that threshold).
     """
-    sparse_plans = _check_sparse_mode(sparse_plans)
     resolved = resolve_solver(solver)
     t = check_probability(t, name="t")
     n_states = check_positive_int(n_states, name="n_states", minimum=2)
@@ -135,8 +126,7 @@ def design_feature_plan(samples_by_s: dict, n_states: int, *, t: float = 0.5,
     results = solve_many(_cell_problems(grid, marginals, target),
                          method=resolved, **opts)
     return _assemble_feature_plan(grid, marginals, target,
-                                  {s: results[s] for s in (0, 1)},
-                                  sparse_plans)
+                                  {s: results[s] for s in (0, 1)})
 
 
 def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
@@ -146,8 +136,7 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
                   padding: float = 0.0, epsilon: float = 5e-3,
                   solver_opts: dict | None = None,
                   n_jobs: int | None = None,
-                  executor=None,
-                  sparse_plans=False) -> RepairPlan:
+                  executor=None) -> RepairPlan:
     """Algorithm 1 over every ``(u, k)`` cell of the research data.
 
     The whole design is *batched*: per-cell marginal interpolation is
@@ -187,10 +176,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         ``"auto"``/``None`` (serial for ``n_jobs`` ≤ 1, else thread or
         process depending on the solver), or any ready-made object with
         ``map(fn, iterable)`` — see :mod:`repro.core.executor`.
-    sparse_plans:
-        Plan-storage policy forwarded to :func:`design_feature_plan`:
-        ``False`` (keep the solver's storage — CSR for ``"exact"``) /
-        ``True`` / ``"auto"``.
 
     Returns
     -------
@@ -200,7 +185,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         :class:`~repro.ot.problem.OTResult` diagnostics.
     """
     resolved = resolve_solver(solver)
-    sparse_plans = _check_sparse_mode(sparse_plans)
     t = check_probability(t, name="t")
     if n_jobs is not None:
         n_jobs = check_positive_int(n_jobs, name="n_jobs")
@@ -246,7 +230,7 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
             in enumerate(zip(jobs, preparations)):
         cell_results = {s: results[2 * index + s] for s in (0, 1)}
         feature_plans[key] = _assemble_feature_plan(
-            grid, marginals, target, cell_results, sparse_plans)
+            grid, marginals, target, cell_results)
 
     ot_wall_time = 0.0
     n_unconverged = 0
@@ -277,7 +261,6 @@ def design_repair(research: FairnessDataset, n_states=50, *, t: float = 0.5,
         "executor": getattr(engine, "name", type(engine).__name__),
         "n_batched_solves": sum(
             1 for result in results if result.extras.get("batched")),
-        "sparse_plans": sparse_plans,
         "n_sparse_transports": sum(
             int(plan.is_sparse) for feature_plan in feature_plans.values()
             for plan in feature_plan.transports.values()),
@@ -362,38 +345,20 @@ def _cell_solver_opts(solver: Solver, epsilon: float,
     return filter_opts(solver, candidates)
 
 
-def _assemble_feature_plan(grid, marginals, target, results: dict,
-                           sparse_plans) -> FeaturePlan:
+def _assemble_feature_plan(grid, marginals, target,
+                           results: dict) -> FeaturePlan:
     """Wrap one cell's solved problems into a :class:`FeaturePlan`."""
-    transports = {s: _select_storage(result.plan, sparse_plans)
-                  for s, result in results.items()}
+    transports = {s: _stored(result.plan) for s, result in results.items()}
     return FeaturePlan(grid=grid, marginals=marginals, barycenter=target,
                        transports=transports,
                        diagnostics={s: result.summary()
                                     for s, result in results.items()})
 
 
-def _check_sparse_mode(sparse_plans):
-    """Validate a ``sparse_plans`` spec and return its canonical form
-    (``False`` / ``True`` / ``"auto"``), so bool-likes such as ``1`` or
-    ``numpy.True_`` behave as the caller intends rather than silently
-    falling through the storage dispatch."""
-    if isinstance(sparse_plans, str):
-        if sparse_plans == "auto":
-            return "auto"
-    elif sparse_plans in (False, True):
-        return bool(sparse_plans)
-    raise ValidationError(
-        f"unknown sparse_plans mode {sparse_plans!r}; expected one of "
-        f"{SPARSE_PLAN_MODES}")
-
-
-def _select_storage(plan: TransportPlan, sparse_plans) -> TransportPlan:
-    """Apply the (canonicalised) ``sparse_plans`` policy to one plan."""
-    if sparse_plans is True:
-        return plan.to_sparse()
-    if sparse_plans == "auto" and not plan.is_sparse \
-            and plan.density <= SPARSE_DENSITY_THRESHOLD:
+def _stored(plan: TransportPlan) -> TransportPlan:
+    """``plan`` as CSR when it is sparse enough
+    (:func:`~repro.ot.coupling.is_sparse_enough`); a CSR plan stays CSR."""
+    if not plan.is_sparse and is_sparse_enough(plan.matrix):
         return plan.to_sparse()
     return plan
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .._validation import as_rng, check_positive_int, check_probability
 from ..data.dataset import FairnessDataset
@@ -37,7 +36,7 @@ from ..density.kde import gaussian_kernel
 from ..exceptions import NotFittedError, ValidationError
 from ..ot.barycenter import sinkhorn_barycenter
 from ..ot.cost import squared_euclidean_cost
-from ..ot.coupling import CSRSampler, sample_conditional_rows
+from ..ot.coupling import CSRSampler
 from ..ot.problem import OTBatch, OTProblem
 from ..ot.registry import filter_opts, resolve_solver
 from ..ot.solve import solve_many
@@ -89,15 +88,12 @@ class JointFeaturePlan:
         return int(np.prod(self.shape))
 
     def sample_states(self, s: int, flat_rows, uniforms) -> np.ndarray:
-        """Inverse-CDF draw over ``conditionals[s]`` rows; CSR
-        conditionals draw through a :class:`~repro.ot.coupling.CSRSampler`
-        kept per ``s``, so repair batches build it once."""
-        conditionals = self.conditionals[s]
-        if not sparse.issparse(conditionals):
-            return sample_conditional_rows(conditionals, flat_rows, uniforms)
+        """Inverse-CDF draw over ``conditionals[s]`` rows, dense or CSR,
+        through a :class:`~repro.ot.coupling.CSRSampler` kept per ``s``,
+        so repair batches build it once."""
         cache = getattr(self, "_sampler_cache")
         if s not in cache:
-            cache[s] = CSRSampler(conditionals)
+            cache[s] = CSRSampler(self.conditionals[s])
         return cache[s].sample(np.asarray(flat_rows),
                                np.asarray(uniforms, dtype=float))
 

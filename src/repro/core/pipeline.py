@@ -71,9 +71,9 @@ class RepairPipeline:
         ``"exact"``) solve all same-grid cells in one vectorised
         dispatch, and ``executor=`` (``"serial"`` / ``"thread"`` /
         ``"process"`` / ``"auto"``) with ``n_jobs`` fans the remaining
-        per-cell work — these plus ``sparse_plans`` (CSR plan storage)
-        are the scale knobs for many-feature, large-``n_Q``
-        deployments.
+        per-cell work — these are the scale knobs for many-feature,
+        large-``n_Q`` deployments.  Plans sparse enough for CSR are
+        stored CSR without a knob.
     """
 
     def __init__(self, *, estimate_labels: bool = False, n_grid: int = 100,

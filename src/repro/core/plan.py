@@ -10,6 +10,12 @@ Algorithm 1 produces, for every unprotected group ``u`` and feature ``k``:
 :class:`FeaturePlan` holds one such bundle; :class:`RepairPlan` is the full
 collection plus the design configuration, and is everything Algorithm 2
 needs to repair archival data.
+
+A transport is stored dense or CSR, and every operation here works on
+either storage.  Sampling (Eq. 15) goes through the transport's one
+:class:`~repro.ot.coupling.CSRSampler`, whatever its storage; the dense
+CDF tables of :meth:`FeaturePlan.conditional_cdfs` are for inspection
+only.
 """
 
 from __future__ import annotations
@@ -25,12 +31,12 @@ from .cache import LRUCache
 
 __all__ = ["FeaturePlan", "RepairPlan"]
 
-#: Bound on the per-:class:`FeaturePlan` memo of *densified* sparse-plan
-#: CDF tables.  Each entry is an ``O(n_Q²)`` float array — the whole
-#: point of CSR transports is not holding those — so the memo keeps only
-#: the handful of protected classes an inspection loop actually touches
-#: and evicts least-recently-used beyond that.
-_SPARSE_CDF_CACHE_SIZE = 4
+#: Bound on the per-:class:`FeaturePlan` memo of inspection CDF tables
+#: (:meth:`FeaturePlan.conditional_cdfs`).  Each entry is an ``O(n_Q²)``
+#: float array, so the memo keeps only the handful of protected classes
+#: an inspection loop actually touches and evicts least-recently-used
+#: beyond that.
+_CDF_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,7 @@ class FeaturePlan:
         if not isinstance(self.diagnostics, dict):
             raise ValidationError("diagnostics must be a dict")
         object.__setattr__(self, "barycenter", bary)
-        object.__setattr__(self, "_cdf_cache", {})
-        object.__setattr__(self, "_sparse_cdf_cache",
-                           LRUCache(_SPARSE_CDF_CACHE_SIZE))
+        object.__setattr__(self, "_cdf_cache", LRUCache(_CDF_CACHE_SIZE))
         # Algorithm-2 kernels, one per (s, rounding, output), which
         # repro.core.repair builds on first use and keeps here.
         object.__setattr__(self, "_kernels", {})
@@ -96,69 +100,48 @@ class FeaturePlan:
         return tuple(sorted(self.transports))
 
     def conditional_cdfs(self, s: int) -> np.ndarray:
-        """Row-wise CDFs of ``π*_{·,s}`` as a dense array.
+        """Row-wise CDFs of ``π*_{·,s}`` as a dense ``(n_Q, n_Q)`` array,
+        for inspection.
 
-        Row ``q`` is the cumulative distribution of the repaired state given
-        source state ``q``.  For densely stored transports the array is
-        computed once per ``s`` and cached (callers must treat it as
-        read-only and copy before mutating) — it is the table
-        :meth:`sample_targets` samples from.  For CSR-backed transports
-        it is an inspection-only view: densified on demand and memoised
-        in a small LRU (capacity ``_SPARSE_CDF_CACHE_SIZE``), so
-        repeated inspection queries stop re-densifying while a large
-        design's ``O(n_Q²)`` tables still cannot pile up in memory —
-        sampling draws on the sparse conditional structure directly.
-        The Algorithm-2 kernels of :mod:`repro.core.repair` hold their
-        own tables.
+        Row ``q`` is the cumulative distribution of the repaired state
+        given source state ``q``.  The table is built on demand and
+        memoised in a small LRU (capacity ``_CDF_CACHE_SIZE``), so
+        repeated queries reuse it while a large design's tables cannot
+        pile up in memory; callers must treat it as read-only.  Sampling
+        never reads it: :meth:`sample_targets` and the Algorithm-2
+        kernels draw through the transport's
+        :class:`~repro.ot.coupling.CSRSampler`.
         """
-        if s not in self.transports:
-            raise ValidationError(
-                f"no transport plan for s={s}; have {self.s_values}")
-        if self.transports[s].is_sparse:
-            return self._sparse_cdf_cache.get_or_create(
-                ("cdf", s),
-                lambda: np.cumsum(
-                    self.transports[s].conditional_matrix().toarray(),
-                    axis=1))
-        cache = getattr(self, "_cdf_cache")
-        key = ("cdf", s)
-        if key not in cache:
-            conditionals = self.transports[s].conditional_matrix()
-            cache[key] = np.cumsum(conditionals, axis=1)
-        return cache[key]
+        transport = self._transport(s)
+
+        def build() -> np.ndarray:
+            conditionals = transport.conditional_matrix()
+            if transport.is_sparse:
+                conditionals = conditionals.toarray()
+            return np.cumsum(conditionals, axis=1)
+
+        return self._cdf_cache.get_or_create(("cdf", s), build)
 
     def sample_targets(self, s: int, rows, uniforms) -> np.ndarray:
         """Repaired grid state per ``(source row, uniform draw)`` pair —
         the vectorised sampler of Algorithm 2 Eq. 15.
 
-        Dense transports sample through the cached row-CDF matrix; CSR
-        transports through the transport's own
+        Draws through the transport's own
         :class:`~repro.ot.coupling.CSRSampler`, the one the Algorithm-2
-        kernels draw with, without ever materialising an
-        ``(n_Q, n_Q)`` array.
+        kernels draw with, whatever the transport's storage.
         """
-        if s not in self.transports:
-            raise ValidationError(
-                f"no transport plan for s={s}; have {self.s_values}")
-        plan = self.transports[s]
-        rows = np.asarray(rows)
-        uniforms = np.asarray(uniforms, dtype=float)
-        if plan.is_sparse:
-            return plan.conditional_sampler().sample(rows, uniforms)
-        cdfs = self.conditional_cdfs(s)
-        # `cdfs` is the shared cache, so only mutate the np.take copy.
-        row_cdfs = np.take(cdfs, rows, axis=0)
-        row_cdfs[:, -1] = 1.0  # guard round-off (< 1.0 row sums)
-        states = (row_cdfs < uniforms[:, None]).sum(axis=1)
-        return np.minimum(states, self.grid.n_states - 1)
+        return self._transport(s).sample_conditional(rows, uniforms)
 
     def expected_targets(self, s: int) -> np.ndarray:
         """Conditional-mean repaired value per source state (deterministic
         alternative to sampling, used by the 'barycentric' output mode)."""
+        return self._transport(s).barycentric_projection().ravel()
+
+    def _transport(self, s: int) -> TransportPlan:
         if s not in self.transports:
             raise ValidationError(
                 f"no transport plan for s={s}; have {self.s_values}")
-        return self.transports[s].barycentric_projection().ravel()
+        return self.transports[s]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ its :class:`~repro.core.plan.FeaturePlan`, so a stream of batches
 builds every table once.  Steps 1 and 3 avoid per-value binary
 searches: the cell is guessed from the grid's mean spacing and
 corrected by one step, and the draw reads the entry of its uniform's
-bin from a one-byte guide table per CSR row
-(:class:`~repro.ot.coupling.CSRSampler`).  Values the guess cannot
+bin from a one-byte guide table per row of the transport's
+:class:`~repro.ot.coupling.CSRSampler`, which dense and CSR transports
+alike draw through.  Values the guess cannot
 settle, draws whose bin holds a row breakpoint, and dispatches below
 :data:`~repro.density.grid.GUESS_CROSSOVER` rows take an ``O(log
 n_Q)`` binary search with the same result.  Archive batches from
@@ -111,12 +112,10 @@ class PreparedFeatureRepair:
     """Validation-free Algorithm-2 kernel for one ``(u, s, k)`` cell.
 
     Preparing a cell hoists mode checks, array coercion, finiteness and
-    the transport lookup out of the hot path, and builds its sampling
-    state once: the dense row-CDF table, which the kernel owns, so a
-    bounded cache of prepared cells bounds the memory those ``O(n_Q²)``
-    tables occupy; or, for a CSR transport, the transport's own
-    :class:`~repro.ot.coupling.CSRSampler`, an ``O(nnz)`` state shared by
-    every kernel and caller that samples that transport.
+    the transport lookup out of the hot path.  Its sampling state is the
+    transport's own :class:`~repro.ot.coupling.CSRSampler`, an
+    ``O(nnz)`` state kept with the transport and shared by every kernel
+    and caller that samples it, whatever the transport's storage.
 
     :func:`repair_feature_values` and :func:`repair_dataset` run these
     kernels too, so served and offline repairs are the same operations
@@ -138,49 +137,35 @@ class PreparedFeatureRepair:
     :class:`ValidationError`).
     """
 
-    __slots__ = ("rounding", "output", "n_states", "_nodes", "_gaps",
-                 "_low", "_high", "_spacing", "_expected", "_cdfs",
-                 "_sampler")
+    __slots__ = ("rounding", "output", "_nodes", "_gaps", "_low", "_high",
+                 "_spacing", "_expected", "_sampler")
 
     def __init__(self, feature_plan: FeaturePlan, s: int, *,
                  rounding: str = "stochastic",
                  output: str = "sample") -> None:
         _check_modes(rounding, output)
-        if s not in feature_plan.transports:
-            raise ValidationError(
-                f"no transport plan for s={s}; have "
-                f"{feature_plan.s_values}")
+        transport = feature_plan._transport(s)
         grid = feature_plan.grid
         self.rounding = rounding
         self.output = output
-        self.n_states = grid.n_states
         self._nodes = grid.nodes
         self._gaps = np.diff(grid.nodes)
         self._low = grid.low
         self._high = grid.high
         self._spacing = grid.spacing
         self._expected = None
-        self._cdfs = None
         self._sampler = None
-        transport = feature_plan.transports[s]
         if output == "barycentric":
             self._expected = feature_plan.expected_targets(s)
-        elif transport.is_sparse:
-            self._sampler = transport.conditional_sampler()
         else:
-            self._cdfs = np.cumsum(transport.conditional_matrix(), axis=1)
+            self._sampler = transport.conditional_sampler()
 
     @property
     def nbytes(self) -> int:
-        """Approximate bytes of the sampling state the kernel holds."""
-        total = 0
+        """Approximate bytes of the sampling state the kernel reads."""
         if self._expected is not None:
-            total += self._expected.nbytes
-        if self._cdfs is not None:
-            total += self._cdfs.nbytes
-        if self._sampler is not None:
-            total += self._sampler.nbytes
-        return total
+            return self._expected.nbytes
+        return self._sampler.nbytes
 
     def draw(self, rng: np.random.Generator, n: int) -> tuple:
         """The ``(advance, draws, jitter)`` uniform variates ``n`` values
@@ -215,15 +200,7 @@ class PreparedFeatureRepair:
             rows = idx + (tau >= 0.5)
         if self.output == "barycentric":
             return self._expected.take(rows)
-        if self._sampler is not None:
-            states = self._sampler.sample(rows, draws)
-        else:
-            # `_cdfs` is shared state; only mutate the np.take copy.
-            row_cdfs = np.take(self._cdfs, rows, axis=0)
-            row_cdfs[:, -1] = 1.0  # guard round-off (< 1.0 row sums)
-            states = (row_cdfs < draws[:, None]).sum(axis=1)
-            states = np.minimum(states, self.n_states - 1)
-        repaired = nodes.take(states)
+        repaired = nodes.take(self._sampler.sample(rows, draws))
         if self.output == "interpolated":
             repaired = np.clip(repaired + jitter * self._spacing,
                                self._low, self._high)
@@ -351,12 +328,6 @@ class DistributionalRepairer:
         ``"exact"``) solve all same-grid cells in one vectorised
         dispatch regardless of the strategy; every strategy is
         bit-identical to the serial design.
-    sparse_plans:
-        Plan-storage policy: ``False`` (keep whatever the solver
-        produced — CSR for the default ``"exact"``, and for
-        ``"simplex"`` below the density threshold), ``True`` (force
-        CSR), or ``"auto"`` (CSR when the plan density is below the
-        threshold).
     rng:
         Seed or generator for the repair randomness; ``transform`` also
         accepts a per-call override.
@@ -370,7 +341,7 @@ class DistributionalRepairer:
                  solver_opts: dict | None = None,
                  rounding: str = "stochastic", output: str = "sample",
                  n_jobs: int | None = None, executor=None,
-                 sparse_plans=False, rng=None) -> None:
+                 rng=None) -> None:
         _check_modes(rounding, output)
         resolve_solver(solver)  # fail fast on typos, before any fitting
         self.n_states = n_states
@@ -385,7 +356,6 @@ class DistributionalRepairer:
         self.output = output
         self.n_jobs = n_jobs
         self.executor = executor
-        self.sparse_plans = sparse_plans
         self._rng = as_rng(rng)
         self._plan: RepairPlan | None = None
 
@@ -409,8 +379,7 @@ class DistributionalRepairer:
             marginal_estimator=self.marginal_estimator,
             bandwidth_method=self.bandwidth_method, padding=self.padding,
             epsilon=self.epsilon, solver_opts=self.solver_opts,
-            n_jobs=self.n_jobs, executor=self.executor,
-            sparse_plans=self.sparse_plans)
+            n_jobs=self.n_jobs, executor=self.executor)
         return self
 
     def transform(self, dataset: FairnessDataset, *,

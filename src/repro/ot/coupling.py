@@ -11,19 +11,24 @@ Storage is dual-mode: the plan matrix is either a dense ``(n, m)`` array or
 a CSR sparse array (:class:`scipy.sparse.csr_array`).  Exact monotone
 plans are staircases with at most ``n + m - 1`` non-zeros, and the
 ``"exact"`` solver emits them as CSR straight from its kernel, so no
-``(n, m)`` array exists anywhere on the default path.  Simplex and
-screened plans are CSR below :data:`SPARSE_DENSITY_THRESHOLD` density;
-entropic and LP plans are dense.  Every operation below (conditionals,
-barycentric projection, inverse-CDF sampling) has a sparse path that
-never densifies.
+``(n, m)`` array exists anywhere on the default path.  Simplex,
+screened and multiscale plans are CSR at or below
+:data:`SPARSE_DENSITY_THRESHOLD` density (:func:`is_sparse_enough`),
+and the design stores any other plan that sparse as CSR too; denser
+plans, such as entropic ones, stay dense.  Every operation below
+(conditionals, barycentric projection, inverse-CDF sampling) has a
+sparse path that never densifies.
 
-A CSR plan samples its conditional rows (Eq. 15) through one
-:class:`CSRSampler`, prepared on first use and kept with the plan
-(:meth:`TransportPlan.conditional_sampler`).  Its guide table holds one
-byte per row and bin of the uniform's range: the entry every uniform in
-the bin draws, which answers ~98% of the paper design's draws with one
-gather.  The rest take a binary search over the row's running sums,
-which gives the same entry bitwise.
+Every plan, dense or CSR, samples its conditional rows (Eq. 15)
+through one :class:`CSRSampler`, prepared on first use and kept with
+the plan (:meth:`TransportPlan.conditional_sampler`).  A dense plan's
+sampler is its CSR copy's, so the two storages draw the same states
+bitwise, and a dense plan's draw only lands on an entry that carries
+mass.  The guide table holds one byte per row and bin of the uniform's
+range: the entry every uniform in the bin draws, which answers ~98% of
+the paper design's draws with one gather.  The rest take a binary
+search over the row's running sums, which gives the same entry
+bitwise.
 
 Build sparse plans explicitly with :meth:`TransportPlan.from_sparse` or
 convert with :meth:`TransportPlan.to_sparse` /
@@ -42,9 +47,8 @@ from ..density.grid import GUESS_CROSSOVER
 from ..exceptions import ValidationError
 
 __all__ = ["TransportPlan", "marginal_residual", "is_coupling",
-           "sample_conditional_rows", "conditional_cumulative",
            "CSRSampler", "dilate_mask", "refine_mask", "band_bounds",
-           "is_banded", "SPARSE_DENSITY_THRESHOLD"]
+           "is_banded", "is_sparse_enough", "SPARSE_DENSITY_THRESHOLD"]
 
 #: Bins per row of the CSR draw's guide table (:class:`CSRSampler`), one
 #: byte each.  A staircase row of the exact solver holds about one
@@ -60,6 +64,19 @@ _AMBIGUOUS = 255
 #: CSR: the triplet arrays (data + indices + indptr) then undercut the
 #: dense buffer by at least ~2x even counting the int64 index overhead.
 SPARSE_DENSITY_THRESHOLD = 0.25
+
+
+def is_sparse_enough(matrix) -> bool:
+    """True when a plan ``matrix`` (dense array or scipy sparse) is worth
+    storing as CSR: at most :data:`SPARSE_DENSITY_THRESHOLD` of its
+    entries are stored non-zeros.  The one storage rule of the solvers
+    and the design."""
+    n, m = matrix.shape
+    if _sparse.issparse(matrix):
+        nnz = matrix.nnz
+    else:
+        nnz = np.count_nonzero(matrix)
+    return nnz / float(n * m) <= SPARSE_DENSITY_THRESHOLD
 
 
 def _row_sums(matrix) -> np.ndarray:
@@ -257,48 +274,20 @@ def is_banded(rows, cols, shape) -> bool:
             and bool(np.all(np.diff(upper) >= 0)))
 
 
-def conditional_cumulative(conditionals) -> np.ndarray:
-    """The zero-prefixed running sum over a CSR conditional matrix's data,
-    which :class:`CSRSampler` draws on."""
-    return np.concatenate([[0.0], np.cumsum(conditionals.data,
-                                            dtype=float)])
-
-
-def sample_conditional_rows(conditionals, rows, uniforms) -> np.ndarray:
-    """Vectorised inverse-CDF draw from selected rows of a row-stochastic
-    matrix (paper Eq. 15), one target state per ``(row, uniform)`` pair.
-
-    ``conditionals`` is a dense array or CSR sparse array whose rows each
-    sum to one.  The sparse path works on the CSR data directly and never
-    densifies: it prepares a :class:`CSRSampler` over the matrix and
-    draws through it.  Callers that sample one matrix many times hold
-    that sampler instead (:meth:`TransportPlan.conditional_sampler`
-    memoises one per plan).
-    """
-    rows = np.asarray(rows)
-    uniforms = np.asarray(uniforms, dtype=float)
-    if _sparse.issparse(conditionals):
-        return CSRSampler(conditionals).sample(rows, uniforms)
-    cdfs = np.cumsum(conditionals[rows], axis=1)
-    cdfs[:, -1] = 1.0  # guard round-off (< 1.0 row sums)
-    states = (cdfs < uniforms[:, None]).sum(axis=1)
-    return np.minimum(states, conditionals.shape[1] - 1)
-
-
 class CSRSampler:
-    """Inverse-CDF draws from the rows of a CSR row-stochastic matrix,
-    prepared once per matrix.  This is the one CSR draw: behind
-    :func:`sample_conditional_rows`,
+    """Inverse-CDF draws from the rows of a row-stochastic matrix,
+    prepared once per matrix.  This is the one Eq.-15 draw: behind
+    :meth:`TransportPlan.sample_conditional`,
     :meth:`~repro.core.plan.FeaturePlan.sample_targets`, joint repair
     and the Algorithm-2 kernel
-    :class:`~repro.core.repair.PreparedFeatureRepair`.
+    :class:`~repro.core.repair.PreparedFeatureRepair`.  Any storage is
+    accepted; a dense matrix is converted to CSR, which drops its zeros.
 
     Row r's CDF at its j-th stored entry is ``cum[first+j+1] -
-    cum[first]`` over the zero-prefixed running sum ``cum`` of the data
-    (:func:`conditional_cumulative`).  A uniform ``u`` draws the entry
-    that a binary search for ``cum[first] + u`` finds among the running
-    sums, clamped into the row (:func:`_search_entries`), and its
-    column is the drawn state.
+    cum[first]`` over the zero-prefixed running sum ``cum`` of the CSR
+    data.  A uniform ``u`` draws the entry that a binary search for
+    ``cum[first] + u`` finds among the running sums, clamped into the
+    row (:func:`_search_entries`), and its column is the drawn state.
 
     Because the running sums never decrease, the drawn entry never
     decreases as ``u`` grows.  So every ``u`` in a bin ``[b/B, (b+1)/B)``
@@ -319,7 +308,7 @@ class CSRSampler:
 
     def __init__(self, conditionals) -> None:
         matrix = conditionals
-        if matrix.format != "csr":
+        if not _sparse.issparse(matrix) or matrix.format != "csr":
             matrix = _sparse.csr_array(matrix)
         first = matrix.indptr[:-1].astype(np.intp)
         last = matrix.indptr[1:].astype(np.intp) - 1
@@ -328,7 +317,8 @@ class CSRSampler:
                 "conditional matrix has empty rows; normalise it with "
                 "TransportPlan.conditional_matrix() first")
         self.indices = matrix.indices
-        self.cumulative = conditional_cumulative(matrix)
+        self.cumulative = np.concatenate([[0.0], np.cumsum(matrix.data,
+                                                           dtype=float)])
         self.first = first
         self.last = last
         self._guide = None
@@ -489,16 +479,14 @@ class TransportPlan:
             matrix = _sparse.csr_array(self.matrix, copy=True)
             if matrix.dtype != np.float64:
                 matrix = matrix.astype(float)
-            if matrix.nnz and float(matrix.data.min()) < -self._atol:
-                raise ValidationError("plan matrix must be non-negative")
+            _check_mass(matrix.data, self._atol)
             np.clip(matrix.data, 0.0, None, out=matrix.data)
         else:
             matrix = np.asarray(self.matrix, dtype=float)
             if matrix.ndim != 2:
                 raise ValidationError(
                     f"plan matrix must be 2-D, got shape {matrix.shape}")
-            if np.any(matrix < -self._atol):
-                raise ValidationError("plan matrix must be non-negative")
+            _check_mass(matrix, self._atol)
             matrix = np.clip(matrix, 0.0, None)
         source = _as_support(self.source_support, matrix.shape[0], "source")
         target = _as_support(self.target_support, matrix.shape[1], "target")
@@ -682,27 +670,22 @@ class TransportPlan:
                                  shape=matrix.shape)
 
     def conditional_sampler(self) -> CSRSampler:
-        """The :class:`CSRSampler` over this CSR plan's conditional rows,
+        """The :class:`CSRSampler` over this plan's conditional rows,
         built on first use and kept with the plan, so every caller that
-        samples the plan shares one."""
+        samples the plan shares one.  A dense plan's sampler is built
+        from its CSR copy (:meth:`to_sparse`) and draws bitwise what
+        that copy draws."""
         sampler = self.__dict__.get("_sampler")
         if sampler is None:  # a racing thread builds an equal one
-            if not self.is_sparse:
-                raise ValidationError(
-                    "conditional_sampler needs a CSR plan; dense plans "
-                    "sample through their row-CDF table")
-            sampler = CSRSampler(self.conditional_matrix())
+            sampler = CSRSampler(self.to_sparse().conditional_matrix())
             object.__setattr__(self, "_sampler", sampler)
         return sampler
 
     def sample_conditional(self, rows, uniforms) -> np.ndarray:
         """Inverse-CDF draw of one target state per ``(row, uniform)``
         pair — the sampler of Algorithm 2 Eq. 15, storage-agnostic."""
-        if self.is_sparse:
-            return self.conditional_sampler().sample(
-                np.asarray(rows), np.asarray(uniforms, dtype=float))
-        return sample_conditional_rows(self.conditional_matrix(), rows,
-                                       uniforms)
+        return self.conditional_sampler().sample(
+            np.asarray(rows), np.asarray(uniforms, dtype=float))
 
     def barycentric_projection(self) -> np.ndarray:
         """Conditional-mean map ``T(x_i) = E_π[Y | X = x_i]``.
@@ -733,6 +716,14 @@ class TransportPlan:
         diffs = (self.source_support[rows][:, None, :]
                  - self.target_support[None, :, :])
         return np.linalg.norm(diffs, axis=2).argmin(axis=1)
+
+
+def _check_mass(values: np.ndarray, atol: float) -> None:
+    """Reject plan entries that are not finite or are below ``-atol``."""
+    if not np.isfinite(values).all():
+        raise ValidationError("plan matrix contains non-finite entries")
+    if values.size and float(values.min()) < -atol:
+        raise ValidationError("plan matrix must be non-negative")
 
 
 def _as_support(support, expected_len: int, name: str) -> np.ndarray:

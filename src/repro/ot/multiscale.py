@@ -85,7 +85,7 @@ from scipy import sparse
 from .._validation import check_positive_int
 from ..density.grid import InterpolationGrid
 from ..exceptions import ValidationError
-from .coupling import SPARSE_DENSITY_THRESHOLD, dilate_mask, refine_mask
+from .coupling import dilate_mask, is_sparse_enough, refine_mask
 from .network_simplex import NetworkSimplexState, refine_state
 from .onedim import north_west_corner_support
 from .problem import OTProblem, OTResult, result_from_matrix
@@ -473,7 +473,7 @@ def _refine_level(problem: OTProblem, coarse_result: OTResult,
         cost_values, rows, cols, (n, m), mu, nu,
         engine=engine, init=init, sparse_output=True,
         monotone_certified=_banded_certifiable(problem))
-    if matrix.nnz / float(n * m) > SPARSE_DENSITY_THRESHOLD:
+    if not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     return {"matrix": matrix, "value": value, "n_iter": nit,
             "state": state, "engine": engine_used,

@@ -72,10 +72,9 @@ from ..core.backend import get_backend
 from ..exceptions import (ConvergenceError, InfeasibleProblemError,
                           ValidationError)
 from .cost import pointwise_cost
-from .coupling import (SPARSE_DENSITY_THRESHOLD, TransportPlan,
-                       _csr_from_canonical,
+from .coupling import (TransportPlan, _csr_from_canonical,
                        _inner_product as _plan_inner_product, band_bounds,
-                       is_banded)
+                       is_banded, is_sparse_enough)
 from .lp import _linprog_with_presolve_retry, _lp_matrix
 from .network_simplex import NetworkSimplexState, network_simplex_arcs
 from .onedim import (_staircase_stack, _staircase_walk,
@@ -722,7 +721,7 @@ def _solve_simplex(problem: OTProblem, *, max_iter: int | None = None,
         rows, cols, outcome = solve_on(support)
     matrix = sparse.csr_array((outcome.flows, (rows, cols)), shape=(n, m))
     matrix.eliminate_zeros()
-    if matrix.nnz / float(n * m) > SPARSE_DENSITY_THRESHOLD:
+    if not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     extras = {"support_size": int(rows.size),
               "support_density": float(rows.size / (n * m)),
@@ -1009,8 +1008,7 @@ def _solve_screened(problem: OTProblem, *, epsilon: float = 1e-2,
         cost[rows, cols], rows, cols, (n, m), mu, nu,
         engine=restricted_engine, init=state, sparse_output=True,
         monotone_certified=_banded_certifiable(problem))
-    if sparse.issparse(matrix) \
-            and matrix.nnz / float(n * m) > SPARSE_DENSITY_THRESHOLD:
+    if sparse.issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     extras = {"epsilon": epsilon, "k": int(k),
               "restricted_engine": engine_used,
@@ -1125,14 +1123,13 @@ def _screened_band(problem: OTProblem, *, k: int, epsilon: float,
         cost_values, rows, cols, (n, m), mu, nu,
         engine=restricted_engine, sparse_output=True,
         monotone_certified=_banded_certifiable(problem))
-    density = rows.size / float(n * m)
-    if sparse.issparse(matrix) and density > SPARSE_DENSITY_THRESHOLD:
+    if sparse.issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     extras = {"epsilon": epsilon, "k": int(k),
               "restricted_engine": engine_used,
               "screen_method": "band",
               "support_size": int(rows.size),
-              "support_density": float(density),
+              "support_density": float(rows.size / (n * m)),
               "screen_converged": True,
               "screen_residual": 0.0,
               "screen_iterations": 0}

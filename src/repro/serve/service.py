@@ -93,11 +93,12 @@ class RepairService:
         The Algorithm-2 randomisation modes every request is served
         with (fixed per service so responses stay comparable).
     cache_size:
-        Bound on resident :class:`PreparedFeatureRepair` kernels — the
-        per-``(u, s, k)`` sampling state.  Each kernel owns its dense
-        row-CDF table (``O(n_Q²)``); a CSR transport's ``O(nnz)``
-        sampler lives with the plan.  Eviction is LRU; evicted cells
-        rebuild on next use.
+        Bound on resident :class:`PreparedFeatureRepair` kernels, one
+        per ``(u, s, k)`` cell.  A kernel holds ``O(n_Q)`` grid arrays;
+        its transport's ``O(nnz)`` sampler lives with the plan, dense
+        or CSR, so the plans resident in memory bound it (for a shard
+        manifest, ``max_shards``), not this cache.  Eviction is LRU;
+        evicted cells rebuild on next use.
     """
 
     def __init__(self, plan, *, rounding: str = "stochastic",

@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.design import design_feature_plan, design_repair
 from repro.exceptions import ValidationError
-from repro.ot.coupling import marginal_residual
+from repro.ot import OTProblem, solve
+from repro.ot.coupling import is_sparse_enough, marginal_residual
 from repro.ot.onedim import wasserstein_1d
 
 from _dense import dense_repair_plan
@@ -266,37 +267,42 @@ class TestParallelDesign:
 
 
 class TestSparsePlanStorage:
-    def test_auto_sparsifies_low_density_plans(self, samples_by_s):
+    """Each plan is stored CSR when its density is at most
+    SPARSE_DENSITY_THRESHOLD, whatever storage its solver returned."""
+
+    def test_low_density_dense_plans_stored_csr(self, samples_by_s):
         # The LP solver returns dense plans; its vertex solution has
-        # O(n_Q) support, so "auto" converts it to CSR.
-        dense = design_feature_plan(samples_by_s, 40, solver="lp")
-        plan = design_feature_plan(samples_by_s, 40, solver="lp",
-                                   sparse_plans="auto")
+        # O(n_Q) support, so the design stores it as CSR, values intact.
+        plan = design_feature_plan(samples_by_s, 40, solver="lp")
         for s in (0, 1):
-            assert not dense.transports[s].is_sparse
+            problem = OTProblem(source_weights=plan.marginals[s],
+                                target_weights=plan.barycenter,
+                                source_support=plan.grid.nodes,
+                                target_support=plan.grid.nodes, p=2)
+            solved = solve(problem, method="lp").plan
+            assert not solved.is_sparse
             assert plan.transports[s].is_sparse
             np.testing.assert_array_equal(plan.transports[s].toarray(),
-                                          dense.transports[s].matrix)
+                                          solved.matrix)
 
     def test_default_keeps_solver_storage(self, samples_by_s):
-        # "exact" emits CSR straight from its kernel; the default policy
-        # keeps it rather than densifying.
-        plan = design_feature_plan(samples_by_s, 20)
-        for s in (0, 1):
-            assert plan.transports[s].is_sparse
+        # "exact" emits CSR straight from its kernel; the design keeps
+        # it rather than densifying, even above the threshold.
+        for n_states in (3, 20):
+            plan = design_feature_plan(samples_by_s, n_states)
+            for s in (0, 1):
+                assert plan.transports[s].is_sparse
 
-    def test_forced_sparse_and_default_dense(self, samples_by_s):
-        # The LP solver returns dense plans.
-        default = design_feature_plan(samples_by_s, 20, solver="lp")
-        forced = design_feature_plan(samples_by_s, 20, solver="lp",
-                                     sparse_plans=True)
+    def test_dense_plans_stay_dense(self, samples_by_s):
+        # Entropic plans carry mass almost everywhere.
+        plan = design_feature_plan(samples_by_s, 20, solver="sinkhorn")
         for s in (0, 1):
-            assert not default.transports[s].is_sparse
-            assert forced.transports[s].is_sparse
-            np.testing.assert_array_equal(forced.transports[s].toarray(),
-                                          default.transports[s].matrix)
+            assert not is_sparse_enough(plan.transports[s].matrix)
+            assert not plan.transports[s].is_sparse
 
     def test_sparse_design_repairs_like_dense(self, paper_split):
+        # A dense transport samples through its CSR copy's sampler, so
+        # the two storages repair bitwise alike.
         from repro.core.repair import repair_dataset
         sparse = design_repair(paper_split.research, 20)
         dense = dense_repair_plan(sparse)
@@ -307,27 +313,13 @@ class TestSparsePlanStorage:
                            rng=np.random.default_rng(9))
         b = repair_dataset(paper_split.archive, sparse,
                            rng=np.random.default_rng(9))
-        np.testing.assert_allclose(a.features, b.features)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_storage_counted_in_metadata(self, paper_split):
-        plan = design_repair(paper_split.research, 15, sparse_plans=True)
-        assert plan.metadata["sparse_plans"] is True
+        plan = design_repair(paper_split.research, 15)
+        assert "sparse_plans" not in plan.metadata
         assert plan.metadata["n_sparse_transports"] == \
             2 * len(plan.feature_plans)
-
-    def test_invalid_mode_rejected(self, samples_by_s):
-        with pytest.raises(ValidationError, match="sparse_plans"):
-            design_feature_plan(samples_by_s, 15, sparse_plans="always")
-        with pytest.raises(ValidationError, match="sparse_plans"):
-            design_feature_plan(samples_by_s, 15, sparse_plans=2)
-
-    def test_bool_like_modes_canonicalised(self, samples_by_s):
-        # 1 / np.True_ must behave exactly like True, not silently no-op;
-        # the LP solver's dense plans show which policy ran.
-        for spec in (1, np.True_):
-            plan = design_feature_plan(samples_by_s, 15, solver="lp",
-                                       sparse_plans=spec)
-            assert all(plan.transports[s].is_sparse for s in (0, 1))
-        plan = design_feature_plan(samples_by_s, 15, solver="lp",
-                                   sparse_plans=np.False_)
-        assert not any(plan.transports[s].is_sparse for s in (0, 1))
+        entropic = design_repair(paper_split.research, 15,
+                                 solver="sinkhorn")
+        assert entropic.metadata["n_sparse_transports"] == 0

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.core.joint import (JointDistributionalRepairer,
                               design_joint_repair)
@@ -142,6 +145,24 @@ class TestApiContract:
                                np.zeros(20, dtype=int))
         with pytest.raises(ValidationError, match="lacks"):
             design_joint_repair(data, 6)
+
+    def test_dense_conditionals_draw_like_their_csr_copy(self,
+                                                          copula_split):
+        # Entropic joint plans are dense; they sample through a
+        # CSRSampler too, which only draws states with mass.
+        group_plan = design_joint_repair(copula_split.research,
+                                         8).group_plan(0)
+        conditionals = group_plan.conditionals[0]
+        assert not sparse.issparse(conditionals)
+        csr_copy = replace(group_plan, conditionals={
+            0: sparse.csr_array(conditionals)})
+        rng = np.random.default_rng(3)
+        rows = rng.integers(0, group_plan.n_states, 5000)
+        draws = rng.random(5000)
+        states = group_plan.sample_states(0, rows, draws)
+        np.testing.assert_array_equal(
+            states, csr_copy.sample_states(0, rows, draws))
+        assert np.all(conditionals[rows, states] > 0.0)
 
     def test_reproducible_with_seed(self, copula_split):
         joint = JointDistributionalRepairer(n_states=8, rng=1)

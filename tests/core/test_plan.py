@@ -48,15 +48,23 @@ class TestFeaturePlan:
             np.testing.assert_allclose(sparse.conditional_cdfs(s),
                                        dense.conditional_cdfs(s),
                                        atol=1e-12)
-        # Repeated inspection queries hit the bounded LRU memo instead
-        # of re-densifying the CSR plan (the PR 4 regression).
-        first = sparse.conditional_cdfs(0)
-        assert sparse.conditional_cdfs(0) is first
-        stats = sparse._sparse_cdf_cache.stats()
-        assert stats["hits"] >= 1
-        assert stats["capacity"] >= stats["size"]
-        # The dense path must not pay for the sparse memo.
-        assert dense._sparse_cdf_cache.stats()["misses"] == 0
+        # Repeated inspection queries hit one bounded LRU memo, for
+        # either storage, instead of rebuilding the table.
+        for plan in (sparse, dense):
+            first = plan.conditional_cdfs(0)
+            assert plan.conditional_cdfs(0) is first
+            stats = plan._cdf_cache.stats()
+            assert stats["hits"] >= 1
+            assert stats["capacity"] >= stats["size"]
+
+    def test_sampling_never_builds_cdf_tables(self, rng):
+        samples = {0: rng.normal(-1.0, 1.0, size=60),
+                   1: rng.normal(1.0, 1.0, size=80)}
+        for plan in (design_feature_plan(samples, 20),
+                     dense_feature_plan(design_feature_plan(samples, 20))):
+            plan.sample_targets(0, rng.integers(0, 20, 100),
+                                rng.random(100))
+            assert plan._cdf_cache.stats()["size"] == 0
 
     def test_expected_targets_within_grid(self, feature_plan):
         targets = feature_plan.expected_targets(1)

@@ -333,7 +333,8 @@ class TestPreparedFeatureRepair:
         barycentric = prepare_feature_repair(fitted_feature_plan, 0,
                                              output="barycentric")
         assert sample.nbytes > 0
-        # The dense row-CDF table dwarfs the expected-target vector.
+        # The sampler's running sums and row bounds outweigh the
+        # expected-target vector.
         assert sample.nbytes > barycentric.nbytes
 
     def test_validation_happens_at_prepare_time(self,
@@ -349,8 +350,8 @@ class TestPreparedFeatureRepair:
 
 
 class TestConditionalCdfCaching:
-    """Regression: Algorithm 2's last-column clamp must never write into
-    the FeaturePlan's cached conditional-CDF array."""
+    """Regression: Algorithm 2 must never write into the FeaturePlan's
+    cached conditional-CDF array, and repeated repairs must not drift."""
 
     def test_repair_does_not_mutate_cached_cdfs(self, fitted_feature_plan,
                                                 rng):
@@ -378,6 +379,30 @@ class TestConditionalCdfCaching:
                 values, fitted_feature_plan, 0,
                 rng=np.random.default_rng(7))
             np.testing.assert_array_equal(first, again)
+
+
+class TestOneSamplingState:
+    """A dense transport has one sampling state, kept with the plan: the
+    Algorithm-2 kernels and ``sample_targets`` share it, and no kernel
+    holds an ``(n_Q, n_Q)`` table."""
+
+    def test_dense_design_shares_the_transport_sampler(self, paper_split):
+        n_states = 30
+        plan = design_repair(paper_split.research, n_states,
+                             solver="sinkhorn")
+        repair_dataset(paper_split.archive, plan,
+                       rng=np.random.default_rng(0))
+        rows = np.arange(n_states)
+        for feature_plan in plan.feature_plans.values():
+            for s, transport in feature_plan.transports.items():
+                assert not transport.is_sparse
+                feature_plan.sample_targets(s, rows, np.full(n_states, 0.5))
+                kernel = feature_plan._kernels[(s, "stochastic", "sample")]
+                assert kernel._sampler is transport.conditional_sampler()
+                held = [getattr(kernel, name)
+                        for name in type(kernel).__slots__]
+                assert not any(np.ndim(value) == 2 for value in held)
+                assert feature_plan._cdf_cache.stats()["size"] == 0
 
 
 class TestSolverSpecs:

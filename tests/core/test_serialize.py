@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,23 @@ class TestErrors:
         written.write_bytes(data[: len(data) // 3])
         with pytest.raises((DataError, Exception)):
             load_plan(written)
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_non_finite_plan_mass_rejected(self, fitted_plan, tmp_path,
+                                           mmap):
+        # An archive whose plan entries are NaN must not load and then
+        # repair silently to in-grid values.
+        written = save_plan(fitted_plan, tmp_path / "plan.npz")
+        with np.load(written) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        plan_keys = [key for key in arrays if re.fullmatch(
+            r"cell_\d+_\d+_plan_\d+(_data)?", key)]
+        assert plan_keys
+        for key in plan_keys:
+            arrays[key] = np.full_like(arrays[key], np.nan)
+        np.savez(written, **arrays)
+        with pytest.raises(DataError, match="non-finite"):
+            load_plan(written, mmap=mmap)
 
     @pytest.mark.parametrize("mmap", [False, True])
     @pytest.mark.parametrize("content", [b"", b"garbage"],

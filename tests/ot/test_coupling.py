@@ -7,9 +7,9 @@ import pytest
 from scipy import sparse
 
 from repro.exceptions import ValidationError
-from repro.ot.coupling import (SPARSE_DENSITY_THRESHOLD, TransportPlan,
-                               is_coupling, marginal_residual,
-                               sample_conditional_rows)
+from repro.ot.coupling import (SPARSE_DENSITY_THRESHOLD, CSRSampler,
+                               TransportPlan, is_coupling, is_sparse_enough,
+                               marginal_residual)
 
 
 @pytest.fixture
@@ -194,6 +194,17 @@ class TestSparseStorage:
         with pytest.raises(ValidationError, match="non-negative"):
             TransportPlan(matrix, [0.0, 1.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("storage", ["dense", "csr"])
+    def test_non_finite_mass_rejected(self, bad, storage):
+        # NaN slips through a `< -atol` test (it compares false), so
+        # finiteness is checked on its own, in both storages.
+        matrix = np.array([[0.25, 0.25], [bad, 0.5]])
+        if storage == "csr":
+            matrix = sparse.csr_array(matrix)
+        with pytest.raises(ValidationError, match="non-finite"):
+            TransportPlan(matrix, [0.0, 1.0], [0.0, 1.0])
+
     def test_helpers_accept_sparse(self, pair):
         dense, sparse_plan = pair
         mu, nu = dense.source_weights, dense.target_weights
@@ -203,42 +214,61 @@ class TestSparseStorage:
         assert not is_coupling(sparse_plan.matrix, np.roll(mu, 1), nu)
 
 
-class TestSampleConditionalRows:
-    def test_sparse_matches_dense_draws(self, banded_matrix, rng):
+class TestConditionalSampling:
+    def test_dense_draws_what_its_csr_copy_draws(self, banded_matrix, rng):
         nodes = np.linspace(0.0, 1.0, banded_matrix.shape[0])
         dense = TransportPlan(banded_matrix, nodes, nodes)
         sparse_plan = dense.to_sparse()
         rows = rng.integers(0, 30, size=500)
         draws = rng.random(500)
-        dense_states = sample_conditional_rows(
-            dense.conditional_matrix(), rows, draws)
-        sparse_states = sample_conditional_rows(
-            sparse_plan.conditional_matrix(), rows, draws)
-        np.testing.assert_array_equal(dense_states, sparse_states)
         np.testing.assert_array_equal(
-            sparse_plan.sample_conditional(rows, draws), dense_states)
+            dense.sample_conditional(rows, draws),
+            sparse_plan.sample_conditional(rows, draws))
+
+    def test_sampler_kept_with_the_plan(self, banded_matrix):
+        nodes = np.linspace(0.0, 1.0, banded_matrix.shape[0])
+        for plan in (TransportPlan(banded_matrix, nodes, nodes),
+                     TransportPlan(banded_matrix, nodes, nodes).to_sparse()):
+            assert plan.conditional_sampler() is plan.conditional_sampler()
 
     def test_extreme_draws_stay_in_row_support(self, banded_matrix):
         nodes = np.linspace(0.0, 1.0, banded_matrix.shape[0])
-        conditionals = TransportPlan(banded_matrix, nodes,
-                                     nodes).to_sparse().conditional_matrix()
+        plan = TransportPlan(banded_matrix, nodes, nodes)
         rows = np.arange(30)
-        lo_states = sample_conditional_rows(conditionals, rows,
-                                            np.full(30, 1e-12))
-        hi_states = sample_conditional_rows(conditionals, rows,
-                                            np.ones(30) - 1e-12)
-        dense_cond = np.asarray(conditionals.todense())
+        lo_states = plan.sample_conditional(rows, np.full(30, 1e-12))
+        hi_states = plan.sample_conditional(rows, np.ones(30) - 1e-12)
         for r, state in zip(rows, lo_states):
-            assert dense_cond[r, state] > 0.0
+            assert banded_matrix[r, state] > 0.0
         for r, state in zip(rows, hi_states):
-            assert dense_cond[r, state] > 0.0
+            assert banded_matrix[r, state] > 0.0
+
+    def test_sampler_accepts_dense_conditionals(self, banded_matrix, rng):
+        nodes = np.linspace(0.0, 1.0, banded_matrix.shape[0])
+        conditionals = TransportPlan(banded_matrix, nodes,
+                                     nodes).conditional_matrix()
+        rows = rng.integers(0, 30, size=200)
+        draws = rng.random(200)
+        np.testing.assert_array_equal(
+            CSRSampler(conditionals).sample(rows, draws),
+            CSRSampler(sparse.csr_array(conditionals)).sample(rows, draws))
 
     def test_empty_rows_rejected(self):
         conditionals = sparse.csr_array(
             np.array([[1.0, 0.0], [0.0, 0.0]]))
         with pytest.raises(ValidationError, match="empty rows"):
-            sample_conditional_rows(conditionals, np.array([1]),
-                                    np.array([0.5]))
+            CSRSampler(conditionals)
+
+
+class TestStoragePredicate:
+    def test_threshold_is_inclusive(self):
+        matrix = np.zeros((4, 4))
+        matrix.flat[:4] = 1.0  # density exactly at the threshold
+        assert 4 / 16 == SPARSE_DENSITY_THRESHOLD
+        assert is_sparse_enough(matrix)
+        assert is_sparse_enough(sparse.csr_array(matrix))
+        matrix.flat[4] = 1.0
+        assert not is_sparse_enough(matrix)
+        assert not is_sparse_enough(sparse.csr_array(matrix))
 
 
 class TestHelpers:

@@ -21,6 +21,12 @@ every edge, pins which path runs just below and at the crossover, and
 pins how many of the paper design's draws the table leaves to the
 search.
 
+A dense transport plan samples through the sampler of its CSR copy.
+The suite pins the dense copy of each generated table to that copy,
+with and without leading or trailing zero columns and with uniforms on
+bin edges, at 0 and just below 1, and checks that every drawn state
+carries mass.
+
 The budget scales with the hypothesis profile: the default ``repro``
 profile keeps tier-1 fast; the ``ci`` profile
 (``--hypothesis-profile=ci``, the ``simplex-stress`` CI job) runs the
@@ -40,14 +46,17 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.core.design import design_repair  # noqa: E402
+from repro.core.plan import FeaturePlan  # noqa: E402
+from repro.core.repair import PreparedFeatureRepair  # noqa: E402
 from repro.data.simulated import paper_simulation_spec  # noqa: E402
 from repro.density import grid as grid_module  # noqa: E402
-from repro.density.grid import (GUESS_CROSSOVER, locate_cells,  # noqa: E402
+from repro.density.grid import (GUESS_CROSSOVER,  # noqa: E402
+                                InterpolationGrid, locate_cells,
                                 uniform_grid)
 from repro.ot import coupling  # noqa: E402
 from repro.ot.coupling import (GUIDE_BINS, CSRSampler,  # noqa: E402
-                               _csr_from_canonical, _guide_table,
-                               _search_entries)
+                               TransportPlan, _csr_from_canonical,
+                               _guide_table, _search_entries)
 
 #: Dispatch sizes on both sides of the crossover.
 SIZES = (1, 7, GUESS_CROSSOVER - 1, GUESS_CROSSOVER, 3 * GUESS_CROSSOVER)
@@ -283,6 +292,53 @@ def test_uniforms_outside_the_unit_interval_match_the_search(table, seed):
         sampler.sample(rows, uniforms),
         reference_entries(indices, cumulative, first, last,
                           cumulative[first], uniforms))
+
+
+# -- dense plans draw what their CSR copies draw -----------------------------
+
+
+@given(table=csr_tables(), size=st.sampled_from(SIZES),
+       lead=st.sampled_from([0, 1, 3]), trail=st.sampled_from([0, 1, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_dense_plan_draws_what_its_csr_copy_draws(table, size, lead, trail,
+                                                  seed):
+    # The table laid out densely, behind `lead` and before `trail` zero
+    # columns; its stored zeros become plain zeros of the dense plan.
+    indices, indptr, data = table
+    n_rows = indptr.size - 1
+    dense = np.zeros((n_rows, lead + int(indices.max()) + 1 + trail))
+    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    dense[row_of, lead + indices] = data
+    plan = TransportPlan(dense, np.arange(n_rows), np.arange(dense.shape[1]))
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n_rows, size)
+    pools = [rng.random(size), np.zeros(size),
+             np.full(size, np.nextafter(1.0, 0.0)), edge_uniforms(size, rng)]
+    uniforms = np.choose(rng.integers(0, len(pools), size), pools)
+    got = plan.conditional_sampler().sample(rows, uniforms)
+    np.testing.assert_array_equal(
+        got, plan.to_sparse().conditional_sampler().sample(rows, uniforms))
+    assert np.all(dense[rows, got] > 0.0)
+
+
+def test_zero_mass_last_column_is_never_drawn():
+    # The row [0.1, 0.3, 0.2, 0.0] at the largest uniform below one: a
+    # row-CDF scan whose last column is forced to 1 draws node 3, which
+    # carries no mass; the sampler draws node 2, through the
+    # Algorithm-2 kernel and `sample_targets` alike.
+    nodes = np.arange(4.0)
+    matrix = np.diag([0.0, 0.1, 0.1, 0.2])
+    matrix[0] = [0.1, 0.3, 0.2, 0.0]
+    feature_plan = FeaturePlan(
+        grid=InterpolationGrid(nodes), marginals={0: matrix.sum(axis=1)},
+        barycenter=matrix.sum(axis=0),
+        transports={0: TransportPlan(matrix, nodes, nodes)})
+    top = np.array([np.nextafter(1.0, 0.0)])
+    kernel = PreparedFeatureRepair(feature_plan, 0, rounding="nearest")
+    np.testing.assert_array_equal(
+        kernel.apply(np.array([0.0]), (None, top, None)), [2.0])
+    np.testing.assert_array_equal(
+        feature_plan.sample_targets(0, np.array([0]), top), [2])
 
 
 # -- the crossover and the guide's coverage ----------------------------------

@@ -119,14 +119,13 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "E total" in output
 
-    def test_design_sparse_parallel_flags(self, sample_csv, tmp_path,
-                                          capsys):
+    def test_design_parallel_flags_store_sparse_plans(self, sample_csv,
+                                                      tmp_path, capsys):
         data_path, _ = sample_csv
         plan_path = tmp_path / "plan.npz"
         out_path = tmp_path / "repaired.csv"
         assert main(["design", str(data_path), str(plan_path),
-                     "--n-states", "20", "--sparse-plans",
-                     "--n-jobs", "2"]) == 0
+                     "--n-states", "20", "--n-jobs", "2"]) == 0
         assert "sparse transports" in capsys.readouterr().out
         from repro.core.serialize import load_plan
         plan = load_plan(plan_path)
@@ -325,8 +324,7 @@ class TestServeFlags:
         data_path, _ = sample_csv
         out = tmp_path / "plan.npz"
         assert main(["design", str(data_path), str(out), "--n-states",
-                     "16", "--sparse-plans", "--index-dtype",
-                     "int64"]) == 0
+                     "16", "--index-dtype", "int64"]) == 0
         with np.load(out) as archive:
             index_keys = [key for key in archive.files
                           if key.endswith("_indices")]

@@ -64,9 +64,8 @@ def test_backend_module_doctests():
 def test_readme_exists_and_covers_the_basics():
     readme = (REPO_ROOT / "README.md").read_text()
     for needle in ("pip install", "repro.ot", "DistributionalRepairer",
-                   "--n-jobs", "--sparse-plans",
-                   "solve_many", "benchmarks/results", "repro serve",
-                   "--plan-shard", "BackgroundServer"):
+                   "--n-jobs", "solve_many", "benchmarks/results",
+                   "repro serve", "--plan-shard", "BackgroundServer"):
         assert needle in readme, f"README.md lost its {needle!r} section"
 
 
