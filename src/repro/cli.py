@@ -168,13 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "archives (default: int32 whenever the "
                              "matrices fit, int64 otherwise; loaders "
                              "up-convert transparently)")
-    design.add_argument("--plan-shard", default=None, metavar="MODE",
-                        help="split the plan across several archive "
-                             "files plus a JSON manifest: 'u' (one per "
-                             "unprotected group), 'cell' (one per (u,k) "
-                             "cell), or an integer shard count; loaders "
-                             "and 'repro serve' read manifests "
-                             "transparently")
     design.add_argument("--compress", action="store_true",
                         help="deflate the plan archive (only worthwhile "
                              "for dense entropic plans; sparse archives "
@@ -184,8 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve Algorithm-2 repairs from a saved plan "
                       "over HTTP")
     serve.add_argument("--plan", required=True,
-                       help=".npz plan archive or .manifest.json from "
-                            "--plan-shard")
+                       help=".npz plan archive written by 'repro "
+                            "design'")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8321)
     serve.add_argument("--workers", type=int, default=1,
@@ -195,9 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="read the plan eagerly instead of "
                             "memory-mapping it (compressed archives "
                             "fall back to eager reads automatically)")
-    serve.add_argument("--max-shards", type=int, default=None,
-                       help="bound on concurrently-resident shard files "
-                            "when serving a sharded plan (default: all)")
     serve.add_argument("--rounding", default="stochastic",
                        choices=("stochastic", "nearest"))
     serve.add_argument("--output", default="sample",
@@ -313,12 +303,9 @@ def _run_design(args) -> int:
         marginal_estimator=args.marginal_estimator, n_jobs=args.n_jobs,
         executor=args.executor)
     repairer.fit(research)
-    shard_by = args.plan_shard
-    if shard_by is not None and shard_by.lstrip("-").isdigit():
-        shard_by = int(shard_by)
     written = save_plan(repairer.plan, args.plan_file,
                         compress=args.compress, dtype=args.plan_dtype,
-                        index_dtype=args.index_dtype, shard_by=shard_by)
+                        index_dtype=args.index_dtype)
     metadata = repairer.plan.metadata
     n_sparse = metadata.get("n_sparse_transports", 0)
     print(f"designed {len(repairer.plan.feature_plans)} feature plans "
@@ -335,9 +322,8 @@ def _run_serve(args) -> int:
 
     run_server(args.plan, host=args.host, port=args.port,
                workers=args.workers, mmap=not args.no_mmap,
-               max_shards=args.max_shards, rounding=args.rounding,
-               output=args.output, cache_size=args.cache_size,
-               max_batch=args.max_batch)
+               rounding=args.rounding, output=args.output,
+               cache_size=args.cache_size, max_batch=args.max_batch)
     return 0
 
 

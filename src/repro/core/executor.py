@@ -12,12 +12,13 @@ the design/CLI layers use:
     In-line ``map`` in the calling thread — the default, zero overhead.
 ``thread``
     A ``ThreadPoolExecutor`` fan-out.  The right choice for solvers that
-    release the GIL in BLAS/scipy code (the HiGHS LP, the screened and
-    multiscale restricted LPs, Sinkhorn's dense linear algebra): no
-    pickling, shared memory, cheap start-up.
+    release the GIL in BLAS/scipy code (the HiGHS LP, the multiscale
+    hybrid, Sinkhorn's dense linear algebra): no pickling, shared
+    memory, cheap start-up.
 ``process``
     A ``ProcessPoolExecutor`` fan-out — today's ``n_jobs`` semantics for
-    pure-Python-bound work.  Payloads and results must pickle.
+    pure-Python-bound work, the screened hybrid's arc-list network
+    simplex included.  Payloads and results must pickle.
 
 Every strategy runs the same deterministic per-task computation, so the
 three produce **bit-identical** results; only wall time differs.  Pools
@@ -33,6 +34,7 @@ BLAS/LP-bound, and ``process`` otherwise.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
@@ -47,8 +49,12 @@ EXECUTOR_NAMES = ("serial", "thread", "process")
 
 #: Registered solvers whose hot loop releases the GIL (scipy/HiGHS LP or
 #: dense BLAS), making the thread strategy the better ``"auto"`` pick.
+#: ``"screened"`` is not one: about half its time is the restricted
+#: solve in the pure-Python network simplex, which holds the GIL, so two
+#: threads design its cells only ~1.2x faster than one where two
+#: processes are ~1.8x faster (12 cells, ``n_Q = 300``, 2 cores).
 _THREAD_BOUND_SOLVERS = frozenset(
-    {"lp", "screened", "multiscale", "sinkhorn", "sinkhorn_log"})
+    {"lp", "multiscale", "sinkhorn", "sinkhorn_log"})
 
 
 class Executor:
@@ -84,8 +90,6 @@ class _PoolExecutor(Executor):
     ``map`` call, sized ``min(n_jobs, len(tasks))``, with a serial
     short-circuit when a pool cannot help."""
 
-    _pool_cls: type
-
     def __init__(self, n_jobs: int | None = None) -> None:
         if n_jobs is None:
             n_jobs = os.cpu_count() or 1
@@ -95,9 +99,11 @@ class _PoolExecutor(Executor):
         tasks = list(iterable)
         if self.n_jobs == 1 or len(tasks) <= 1:
             return [fn(item) for item in tasks]
-        workers = min(self.n_jobs, len(tasks))
-        with self._pool_cls(max_workers=workers) as pool:
+        with self._pool(min(self.n_jobs, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
+
+    def _pool(self, workers: int):  # pragma: no cover - interface
+        raise NotImplementedError
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n_jobs={self.n_jobs})"
@@ -107,7 +113,9 @@ class ThreadExecutor(_PoolExecutor):
     """Thread-pool fan-out for GIL-releasing (BLAS/scipy-LP) workloads."""
 
     name = "thread"
-    _pool_cls = ThreadPoolExecutor
+
+    def _pool(self, workers: int) -> ThreadPoolExecutor:
+        return ThreadPoolExecutor(max_workers=workers)
 
 
 class ProcessExecutor(_PoolExecutor):
@@ -115,10 +123,43 @@ class ProcessExecutor(_PoolExecutor):
 
     Tasks and results must pickle; the deterministic per-task
     computation makes the fan-out bit-identical to the serial loop.
+    Where the OS allows it, each worker starts on its own CPU
+    (:func:`_spread_worker`).
     """
 
     name = "process"
-    _pool_cls = ProcessPoolExecutor
+
+    def _pool(self, workers: int) -> ProcessPoolExecutor:
+        if not hasattr(os, "sched_setaffinity"):
+            return ProcessPoolExecutor(max_workers=workers)
+        context = multiprocessing.get_context()
+        return ProcessPoolExecutor(
+            max_workers=workers, mp_context=context,
+            initializer=_spread_worker,
+            initargs=(context.Value("i", 0),
+                      sorted(os.sched_getaffinity(0))))
+
+
+def _spread_worker(next_slot, cpus: list) -> None:
+    """Pool initializer: move each new worker onto its own CPU.
+
+    The kernel may leave freshly forked workers stacked on the parent's
+    CPU for the whole ``map``: on a 2-vCPU VM two CPU-bound workers
+    shared one vCPU for over 0.6 s while the other idled, in about half
+    of the pools, so ``n_jobs=2`` ran no faster than the serial loop.
+    The worker is pinned to one CPU, which migrates it there, and then
+    given its whole mask back, so the kernel may still move it later.
+    Placement is only a hint: a refused call leaves the worker where it
+    is.
+    """
+    with next_slot.get_lock():
+        slot = next_slot.value
+        next_slot.value += 1
+    try:
+        os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
 
 
 def resolve_executor(spec=None, *, n_jobs: int | None = None,
@@ -141,9 +182,11 @@ def resolve_executor(spec=None, *, n_jobs: int | None = None,
 
     >>> resolve_executor().name
     'serial'
-    >>> resolve_executor("auto", n_jobs=4, solver="screened").name
+    >>> resolve_executor("auto", n_jobs=4, solver="lp").name
     'thread'
     >>> resolve_executor("auto", n_jobs=4, solver="exact").name
+    'process'
+    >>> resolve_executor("auto", n_jobs=4, solver="screened").name
     'process'
     >>> resolve_executor("thread", n_jobs=2).n_jobs
     2

@@ -151,7 +151,9 @@ class RepairPlan:
     Attributes
     ----------
     feature_plans:
-        Mapping ``(u, k) -> FeaturePlan``.
+        Mapping ``(u, k) -> FeaturePlan``: a dict, or for
+        ``load_plan(path, mmap=True)`` a read-only mapping that builds
+        each cell on its first access.
     n_features:
         Feature arity ``d`` of the designed repair.
     t:
@@ -168,13 +170,18 @@ class RepairPlan:
     def __post_init__(self) -> None:
         if not self.feature_plans:
             raise ValidationError("feature_plans must be non-empty")
-        for key, plan in self.feature_plans.items():
+        for key in self.feature_plans:
             if (not isinstance(key, tuple) or len(key) != 2):
                 raise ValidationError(
                     f"feature_plans keys must be (u, k) pairs, got {key!r}")
-            if not isinstance(plan, FeaturePlan):
-                raise ValidationError(
-                    f"feature_plans[{key}] must be a FeaturePlan")
+        # A mapped archive (load_plan(mmap=True)) builds each cell as a
+        # FeaturePlan on first access; reading its values here would
+        # build them all.
+        if isinstance(self.feature_plans, dict):
+            for key, plan in self.feature_plans.items():
+                if not isinstance(plan, FeaturePlan):
+                    raise ValidationError(
+                        f"feature_plans[{key}] must be a FeaturePlan")
         ks = {k for (_, k) in self.feature_plans}
         if ks != set(range(self.n_features)):
             raise ValidationError(

@@ -43,34 +43,28 @@ On-disk layout (format version 2)
   save/load hot path of a long-lived repair service.  Pass
   ``compress=True`` to restore deflate — worthwhile for archives that
   keep fully dense entropic plans.  Uncompressed archives are also what
-  :func:`load_plan`'s ``mmap=True`` mode (below) maps zero-copy.
+  :func:`load_plan`'s ``mmap=True`` mode (below) maps zero-copy; their
+  writer pads each member's local zip header so that its array data
+  starts at a multiple of 8 bytes into the file, and mapped views are
+  aligned.
 
 Memory-mapped loading
 ---------------------
 
-``load_plan(path, mmap=True)`` exposes every stored array as a read-only
-view over one shared ``mmap`` of the archive file instead of reading the
-bytes eagerly: worker start-up touches only the JSON header and the zip
-directory, plan bytes fault in lazily on first use, and — because the
-mapping is backed by the page cache — N serving workers mapping the same
-archive share one physical copy of the plan.  Members that are deflated
-(``compress=True`` archives) silently fall back to an eager read.  The
-mapping lives exactly as long as arrays viewing it do.
-
-Sharded archives
-----------------
-
-``save_plan(..., shard_by=...)`` splits one design across several
-archives so a fleet of serving workers can each map only the cells they
-serve: ``shard_by="u"`` groups cells per unprotected group,
-``shard_by="cell"`` writes one archive per ``(u, k)`` cell, and an
-integer ``n`` chunks the sorted cell list into ``n`` near-equal shards.
-The returned path is a JSON *manifest* (``<stem>.manifest.json``)
-naming each shard file and the cells it carries; every shard is itself
-a valid v2 ``.npz`` restricted to its cells.  ``load_plan`` reads a
-manifest transparently (merging all shards back into one
-:class:`RepairPlan`); :class:`ShardedPlanArchive` is the lazy,
-cell-addressable view the serving tier uses to map shards on demand.
+``load_plan(path, mmap=True)`` maps the archive file once and reads
+only the JSON header and the zip directory.  The returned plan's
+``feature_plans`` is a read-only mapping that reads, checks and wraps
+each cell on its first access and then keeps it, so a serving worker
+holds only the cells it has served.  Every stored array stays a
+read-only view of the one mapping, CSR triplets and dense matrices
+included; a plan array is copied only to up-convert float32 mass or to
+clip an entry at zero.  Because the mapping is backed by the page
+cache, N serving workers mapping the same archive share one physical
+copy of the plan bytes.  A corrupt cell raises its :class:`DataError`
+on that first access rather than inside ``load_plan``.  Members that
+are deflated (``compress=True`` archives) are read at load.  No file
+handle outlives ``load_plan``; the mapping lives as long as the plan
+or an array viewing it does.
 
 Compatibility policy
 --------------------
@@ -80,7 +74,9 @@ Compatibility policy
 protected-class labels are recovered from the array keys themselves, so
 v1 plans designed with labels other than ``{0, 1}`` — which the original
 loader wrongly rejected as corrupt — now load too.  ``save_plan`` always
-writes the current version; there is no downgrade path.
+writes the current version; there is no downgrade path.  The JSON shard
+manifests that earlier versions of this library could write are not
+read: such a file is not a zip archive and fails to load like any other.
 """
 
 from __future__ import annotations
@@ -90,18 +86,20 @@ import json
 import mmap as _mmap_module
 import struct
 import zipfile
-from collections import OrderedDict
+from collections.abc import Mapping
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from ..density.grid import InterpolationGrid
 from ..exceptions import DataError, ValidationError
 from ..ot.coupling import TransportPlan
 from .plan import FeaturePlan, RepairPlan
 
-__all__ = ["save_plan", "load_plan", "ShardedPlanArchive",
-           "FORMAT_VERSION", "PLAN_DTYPES", "INDEX_DTYPES", "SHARD_MODES"]
+__all__ = ["save_plan", "load_plan", "FORMAT_VERSION", "PLAN_DTYPES",
+           "INDEX_DTYPES"]
 
 #: Bump when the on-disk layout changes incompatibly.
 FORMAT_VERSION = 2
@@ -116,16 +114,13 @@ PLAN_DTYPES = ("float64", "float32")
 #: CSR index storage dtypes :func:`save_plan` accepts (``None`` = auto).
 INDEX_DTYPES = ("int32", "int64")
 
-#: Named sharding policies of ``save_plan(..., shard_by=...)`` (an
-#: integer shard count is also accepted).
-SHARD_MODES = ("u", "cell")
-
-#: Manifest files announce themselves with this marker field.
-_MANIFEST_FORMAT = "repro-plan-manifest"
+#: Header ID of the zip extra field that pads a member's local header
+#: (the ID Android's zipalign uses; zip readers skip unknown fields).
+_ALIGNMENT_FIELD = 0xD935
 
 
 def save_plan(plan: RepairPlan, path, *, compress: bool = False,
-              dtype=None, index_dtype=None, shard_by=None) -> Path:
+              dtype=None, index_dtype=None) -> Path:
     """Serialise ``plan`` to ``path`` (a ``.npz`` archive).
 
     CSR-backed transports are stored as ``(data, indices, indptr)``
@@ -147,12 +142,8 @@ def save_plan(plan: RepairPlan, path, *, compress: bool = False,
     archives) and ``int64`` otherwise; pass ``"int32"`` / ``"int64"``
     to force a width (forcing ``int32`` on an overflowing plan raises).
 
-    ``shard_by`` splits the design across several archives plus a JSON
-    manifest — ``"u"`` (one shard per unprotected group), ``"cell"``
-    (one per ``(u, k)`` cell) or an integer shard count; see the module
-    docstring.  Returns the resolved path actually written — the
-    ``.npz`` archive (numpy appends the suffix when missing), or the
-    manifest path when sharding.
+    Returns the path written, with the ``.npz`` suffix appended when
+    missing.
     """
     if not isinstance(plan, RepairPlan):
         raise ValidationError(
@@ -166,18 +157,7 @@ def save_plan(plan: RepairPlan, path, *, compress: bool = False,
         raise ValidationError(
             f"unsupported index dtype {index_dtype!r}; expected one of "
             f"{INDEX_DTYPES} or None (auto)")
-    file_path = Path(path)
-    if shard_by is not None:
-        return _save_sharded(plan, file_path, shard_by, compress,
-                             plan_dtype, index_dtype)
-    return _write_archive(plan, sorted(plan.feature_plans), file_path,
-                          compress, plan_dtype, index_dtype)
-
-
-def _write_archive(plan: RepairPlan, cells, file_path: Path,
-                   compress: bool, plan_dtype: np.dtype,
-                   index_dtype) -> Path:
-    """Write one ``.npz`` archive holding the given cell subset."""
+    cells = sorted(plan.feature_plans)
     header = {
         "format_version": FORMAT_VERSION,
         "n_features": plan.n_features,
@@ -187,7 +167,7 @@ def _write_archive(plan: RepairPlan, cells, file_path: Path,
         # field existed, which are float64 by construction.
         "plan_dtype": plan_dtype.name,
         "metadata": _jsonable(plan.metadata),
-        "cells": [[int(u), int(k)] for (u, k) in sorted(cells)],
+        "cells": [[int(u), int(k)] for (u, k) in cells],
         # Each cell's actual protected-class labels; round-tripping them
         # (instead of assuming {0, 1}) is what keeps "design once, apply
         # forever" true for any label encoding.
@@ -237,11 +217,43 @@ def _write_archive(plan: RepairPlan, cells, file_path: Path,
                 arrays[f"{prefix}_plan_{label}"] = \
                     transport.matrix.astype(plan_dtype, copy=False)
 
-    writer = np.savez_compressed if compress else np.savez
-    writer(file_path, **arrays)
+    file_path = Path(path)
     if file_path.suffix != ".npz":
         file_path = file_path.with_name(file_path.name + ".npz")
+    if compress:
+        np.savez_compressed(file_path, **arrays)
+    else:
+        _savez_aligned(file_path, arrays)
     return file_path
+
+
+def _savez_aligned(file_path: Path, arrays: dict) -> None:
+    """``np.savez`` with every member's array data at a multiple of 8
+    bytes into the file.
+
+    A mapped view is only as aligned as its offset in the file, and
+    numpy copies a whole misaligned array inside ``take`` and
+    ``searchsorted``: a 64-value kernel dispatch on a misaligned
+    ``n_Q = 2000`` cell takes ~13% longer.  A ``.npy`` header pads the
+    data to a multiple of 64 bytes from the member's start, so padding
+    each local file header to a multiple of 8 aligns the data for every
+    stored dtype.
+    """
+    with open(file_path, "wb") as handle, \
+            zipfile.ZipFile(handle, "w") as archive:
+        for key, value in arrays.items():
+            info = zipfile.ZipInfo(f"{key}.npy")
+            # The local header holds 30 fixed bytes, the name, this
+            # extra field (4 bytes plus the padding) and the 20-byte
+            # zip64 field that force_zip64 appends.
+            end = handle.tell() + 30 + len(info.filename.encode()) + 4 + 20
+            info.extra = (struct.pack("<HH", _ALIGNMENT_FIELD, -end % 8)
+                          + bytes(-end % 8))
+            with archive.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value),
+                                          allow_pickle=False)
+            # The central directory needs no padding.
+            info.extra = b""
 
 
 def _csr_index_dtype(matrix, index_dtype) -> np.dtype:
@@ -266,115 +278,194 @@ def _csr_index_dtype(matrix, index_dtype) -> np.dtype:
 def load_plan(path, *, mmap: bool = False) -> RepairPlan:
     """Load a :class:`RepairPlan` previously written by :func:`save_plan`.
 
-    Reads the current sparse-aware version 2 layout, the original
-    version 1 layout, and shard manifests (every shard is loaded and
-    merged — see the module docstring's sharding section; use
-    :class:`ShardedPlanArchive` for lazy per-cell access).
+    Reads the current sparse-aware version 2 layout and the original
+    version 1 layout.  By default every cell is read, checked and
+    wrapped here, so a corrupt archive fails to load.
 
-    With ``mmap=True`` every stored array of an *uncompressed* archive
-    becomes a read-only zero-copy view over one shared memory map of
-    the file: nothing is read eagerly, plan bytes fault in on first
-    use, and concurrent processes mapping the same archive share one
-    physical copy.  Deflated members fall back to an eager read.
+    With ``mmap=True`` only the JSON header and the zip directory are
+    read here: each cell is read, checked and wrapped on its first
+    access through ``feature_plans`` (so a corrupt cell raises there),
+    and every array of an uncompressed archive stays a read-only view
+    of one shared memory map of the file (see the module docstring).
 
     Raises
     ------
     DataError
         When the file is missing, not a plan archive, or from an
-        incompatible format version.
+        incompatible format version, or a cell is corrupt.
     """
     file_path = Path(path)
     if not file_path.exists():
         raise DataError(f"plan file not found: {file_path}")
-    if _is_manifest(file_path):
-        return ShardedPlanArchive(file_path, mmap=mmap).load_all()
-    header, feature_plans = _read_archive(file_path, mmap=mmap)
-    return RepairPlan(feature_plans=feature_plans,
-                      n_features=int(header["n_features"]),
-                      t=float(header["t"]),
-                      metadata=dict(header.get("metadata", {})))
-
-
-def _read_archive(file_path: Path, *, mmap: bool = False,
-                  cells=None) -> tuple:
-    """Header + ``{(u, k): FeaturePlan}`` of one archive file.
-
-    ``cells`` restricts loading to a subset of the archive's cells
-    (``None`` loads all).
-    """
     # np.load hands a non-zip file to pickle (an empty one escapes as a
     # bare EOFError), so check the format before either reader sees it.
     if not zipfile.is_zipfile(file_path):
         raise DataError(f"{file_path} is corrupt or not a repro plan "
                         "archive: File is not a zip file")
+    with _archive_errors(file_path):
+        if mmap:
+            archive = _MappedNpz(file_path)
+            header = _read_header(archive, file_path)
+            feature_plans = _MappedCells(archive, header, file_path)
+        else:
+            with np.load(file_path) as archive:
+                header = _read_header(archive, file_path)
+                feature_plans = {
+                    cell: _read_cell(archive, header, cell, file_path)
+                    for cell in _header_cells(header)}
+        return RepairPlan(feature_plans=feature_plans,
+                          n_features=int(header["n_features"]),
+                          t=float(header["t"]),
+                          metadata=dict(header.get("metadata", {})))
+
+
+@contextmanager
+def _archive_errors(file_path: Path):
+    """Raise what reading a malformed archive raises as a
+    :class:`DataError` naming the file."""
     try:
-        with (_MappedNpz(file_path) if mmap
-              else np.load(file_path)) as archive:
-            if "__header__" not in archive:
-                raise DataError(
-                    f"{file_path} is not a repro plan archive "
-                    "(missing header)")
-            header = json.loads(bytes(archive["__header__"]).decode("utf-8"))
-            _check_version(header, file_path)
-            all_s_values = header.get("s_values", {})
-            all_diagnostics = header.get("diagnostics", {})
-            wanted = None if cells is None else {
-                (int(u), int(k)) for (u, k) in cells}
-            feature_plans = {}
-            for u, k in header["cells"]:
-                if wanted is not None and (int(u), int(k)) not in wanted:
-                    continue
-                prefix = f"cell_{u}_{k}"
-                nodes = archive[f"{prefix}_nodes"]
-                grid = InterpolationGrid(nodes)
-                s_values = all_s_values.get(f"{u}_{k}")
-                if s_values is None:
-                    # v1 archives carried no label list; recover the
-                    # labels from the keys instead of assuming {0, 1}.
-                    s_values = _infer_s_values(archive.files, prefix)
-                marginals = {}
-                transports = {}
-                for s in s_values:
-                    s = int(s)
-                    marginals[s] = archive[f"{prefix}_marginal_{s}"]
-                    transports[s] = _load_transport(archive, prefix, s,
-                                                    nodes)
-                diagnostics = {
-                    int(s): record
-                    for s, record in all_diagnostics.get(f"{u}_{k}",
-                                                         {}).items()
-                }
-                feature_plans[(u, k)] = FeaturePlan(
-                    grid=grid, marginals=marginals,
-                    barycenter=archive[f"{prefix}_barycenter"],
-                    transports=transports, diagnostics=diagnostics)
-    except (KeyError, ValueError, json.JSONDecodeError,
-            zipfile.BadZipFile) as exc:
+        yield
+    except DataError:
+        raise
+    except (KeyError, ValueError, zipfile.BadZipFile) as exc:
         raise DataError(
             f"{file_path} is corrupt or not a repro plan archive: "
             f"{exc}") from exc
-    return header, feature_plans
+
+
+def _read_header(archive, file_path: Path) -> dict:
+    """The archive's JSON header, its format version checked."""
+    if "__header__" not in archive:
+        raise DataError(
+            f"{file_path} is not a repro plan archive (missing header)")
+    header = json.loads(bytes(archive["__header__"]).decode("utf-8"))
+    _check_version(header, file_path)
+    return header
+
+
+def _header_cells(header: dict) -> list:
+    """The archive's ``(u, k)`` cells, in the header's order."""
+    return [(int(u), int(k)) for (u, k) in header["cells"]]
+
+
+def _read_cell(archive, header: dict, cell: tuple,
+               file_path: Path) -> FeaturePlan:
+    """Read, check and wrap one cell: the cell reader of both modes of
+    :func:`load_plan`, over the stored arrays themselves."""
+    u, k = cell
+    prefix = f"cell_{u}_{k}"
+    with _archive_errors(file_path):
+        nodes = archive[f"{prefix}_nodes"]
+        s_values = header.get("s_values", {}).get(f"{u}_{k}")
+        if s_values is None:
+            # v1 archives carried no label list; recover the labels from
+            # the keys instead of assuming {0, 1}.
+            s_values = _infer_s_values(archive.files, prefix)
+        marginals = {}
+        transports = {}
+        for s in map(int, s_values):
+            marginals[s] = archive[f"{prefix}_marginal_{s}"]
+            transports[s] = _read_transport(archive, prefix, s, nodes)
+        diagnostics = {
+            int(s): record
+            for s, record in header.get("diagnostics", {}).get(
+                f"{u}_{k}", {}).items()
+        }
+        return FeaturePlan(grid=InterpolationGrid(nodes),
+                           marginals=marginals,
+                           barycenter=archive[f"{prefix}_barycenter"],
+                           transports=transports, diagnostics=diagnostics)
+
+
+def _read_transport(archive, prefix: str, s: int,
+                    nodes: np.ndarray) -> TransportPlan:
+    """One plan from either its dense key or its CSR triplet keys, over
+    the stored arrays (:meth:`TransportPlan._over_arrays`).
+
+    Quantised ``dtype="float32"`` plan mass is up-converted to float64,
+    so such archives load into ordinary float64 plans; CSR index arrays
+    are accepted at either stored width (int32 / int64).
+    """
+    cost = float(archive[f"{prefix}_cost_{s}"])
+    key = f"{prefix}_plan_{s}"
+    if key in archive:
+        matrix = archive[key].astype(np.float64, copy=False)
+    else:
+        n = nodes.size
+        matrix = _sparse.csr_array(
+            (archive[f"{key}_data"].astype(np.float64, copy=False),
+             archive[f"{key}_indices"], archive[f"{key}_indptr"]),
+            shape=(n, n))
+    return TransportPlan._over_arrays(matrix, nodes, nodes, cost)
+
+
+class _MappedCells(Mapping):
+    """The ``(u, k) -> FeaturePlan`` cells of a mapped archive.
+
+    A cell is read, checked and wrapped by :func:`_read_cell` on its
+    first access and then kept; a corrupt cell raises its
+    :class:`DataError` on every access.  Membership, iteration and
+    length read the header's cell list only, so they never build a
+    cell.
+    """
+
+    def __init__(self, archive: _MappedNpz, header: dict,
+                 file_path: Path) -> None:
+        self._archive = archive
+        self._header = header
+        self._path = file_path
+        self._cells = dict.fromkeys(_header_cells(header))
+        self._built: dict = {}
+
+    def __getitem__(self, cell) -> FeaturePlan:
+        plan = self._built.get(cell)
+        if plan is None:
+            if cell not in self._cells:
+                raise KeyError(cell)
+            # Threads racing on a first access may each build the cell;
+            # setdefault keeps one of them.
+            plan = self._built.setdefault(cell, _read_cell(
+                self._archive, self._header, cell, self._path))
+        return plan
+
+    def __contains__(self, cell) -> bool:
+        return cell in self._cells
+
+    def __iter__(self):
+        return iter(self._cells)
+
+    def __len__(self) -> int:
+        return len(self._cells)
 
 
 class _MappedNpz:
-    """Read an *uncompressed* ``.npz`` as zero-copy views over one mmap.
+    """An uncompressed ``.npz`` archive as zero-copy views over one
+    read-only memory map.
 
     ``np.load(mmap_mode=...)`` does not support ``.npz`` archives, so
     this parses the zip directory itself: each stored (deflate-free)
     member's ``.npy`` payload is located inside the file and exposed as
-    an ``np.frombuffer`` view over a single shared read-only memory
-    map.  The views keep the mapping alive; closing this object only
-    releases the zip handle.  Compressed members (``compress=True``
-    archives) fall back to an eager in-memory read.
+    an ``np.frombuffer`` view over the map.  The file and zip handles
+    are closed before the constructor returns; the map stays open as
+    long as this object or a view of it lives.  Deflated members
+    (``compress=True`` archives) are read into memory here, read-only.
     """
 
     def __init__(self, path) -> None:
-        self._zip = zipfile.ZipFile(path)
-        self._mmap = _mmap_module.mmap(self._zip.fp.fileno(), 0,
-                                       access=_mmap_module.ACCESS_READ)
-        self._members = {info.filename[:-4]: info
-                         for info in self._zip.infolist()
-                         if info.filename.endswith(".npy")}
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
+            self._mmap = _mmap_module.mmap(handle.fileno(), 0,
+                                           access=_mmap_module.ACCESS_READ)
+            self._members = {}
+            for info in archive.infolist():
+                if not info.filename.endswith(".npy"):
+                    continue
+                member = info
+                if info.compress_type != zipfile.ZIP_STORED:
+                    with archive.open(info) as stream:
+                        member = np.lib.format.read_array(
+                            stream, allow_pickle=False)
+                    member.flags.writeable = False
+                self._members[info.filename[:-4]] = member
 
     @property
     def files(self) -> list:
@@ -385,46 +476,26 @@ class _MappedNpz:
 
     def __getitem__(self, key: str) -> np.ndarray:
         try:
-            info = self._members[key]
+            member = self._members[key]
         except KeyError:
             raise KeyError(f"{key} is not a file in the archive") from None
-        if info.compress_type != zipfile.ZIP_STORED:
-            with self._zip.open(info.filename) as handle:
-                return np.lib.format.read_array(handle,
-                                                allow_pickle=False)
-        return self._view(info)
-
-    def _view(self, info: zipfile.ZipInfo) -> np.ndarray:
+        if isinstance(member, np.ndarray):
+            return member
         # The local file header's name/extra lengths can differ from
         # the central directory's, so read them from the local header.
-        offset = info.header_offset
+        offset = member.header_offset
         local = self._mmap[offset:offset + 30]
         if len(local) < 30 or local[:4] != b"PK\x03\x04":
-            raise DataError(
-                f"corrupt zip member {info.filename!r} (bad local header)")
+            raise ValueError(
+                f"corrupt zip member {member.filename!r} (bad local header)")
         name_len, extra_len = struct.unpack("<HH", local[26:30])
         return _npy_view(self._mmap, offset + 30 + name_len + extra_len)
-
-    def close(self) -> None:
-        self._zip.close()
-        try:
-            self._mmap.close()
-        except BufferError:
-            # Live array views still reference the map; it is released
-            # when the last of them is garbage-collected.
-            pass
-
-    def __enter__(self) -> "_MappedNpz":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _npy_view(buffer, offset: int) -> np.ndarray:
     """A zero-copy ndarray over the ``.npy`` payload at ``offset``."""
     if bytes(buffer[offset:offset + 6]) != b"\x93NUMPY":
-        raise DataError("zip member is not a .npy array")
+        raise ValueError("zip member is not a .npy array")
     major = buffer[offset + 6]
     if major == 1:
         (header_len,) = struct.unpack("<H", buffer[offset + 8:offset + 10])
@@ -442,218 +513,6 @@ def _npy_view(buffer, offset: int) -> np.ndarray:
                           offset=header_start + header_len)
     order = "F" if header.get("fortran_order") else "C"
     return array.reshape(shape, order=order)
-
-
-# -- sharded archives ------------------------------------------------------
-
-
-def _save_sharded(plan: RepairPlan, file_path: Path, shard_by,
-                  compress: bool, plan_dtype: np.dtype,
-                  index_dtype) -> Path:
-    """Write per-cell-group shard archives plus their JSON manifest."""
-    groups = _shard_groups(plan, shard_by)
-    stem = file_path.name
-    for suffix in (".json", ".npz"):
-        if stem.endswith(suffix):
-            stem = stem[:-len(suffix)]
-    if stem.endswith(".manifest"):
-        stem = stem[:-len(".manifest")]
-    directory = file_path.parent
-    shards = []
-    for label, cells in groups:
-        shard_name = f"{stem}.shard-{label}.npz"
-        _write_archive(plan, cells, directory / shard_name, compress,
-                       plan_dtype, index_dtype)
-        shards.append({"file": shard_name,
-                       "cells": [[int(u), int(k)] for (u, k) in cells]})
-    manifest = {
-        "format": _MANIFEST_FORMAT,
-        "format_version": FORMAT_VERSION,
-        "n_features": plan.n_features,
-        "t": plan.t,
-        "metadata": _jsonable(plan.metadata),
-        "shard_by": str(shard_by),
-        "shards": shards,
-    }
-    manifest_path = directory / f"{stem}.manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return manifest_path
-
-
-def _shard_groups(plan: RepairPlan, shard_by) -> list:
-    """``[(label, [cells...]), ...]`` partition of the plan's cells."""
-    cells = sorted(plan.feature_plans)
-    if shard_by == "u":
-        groups: dict = {}
-        for (u, k) in cells:
-            groups.setdefault(u, []).append((u, k))
-        return [(f"u{u}", groups[u]) for u in sorted(groups)]
-    if shard_by == "cell":
-        return [(f"u{u}-k{k}", [(u, k)]) for (u, k) in cells]
-    if isinstance(shard_by, (int, np.integer)) and not isinstance(
-            shard_by, bool):
-        n_shards = int(shard_by)
-        if not 1 <= n_shards <= len(cells):
-            raise ValidationError(
-                f"shard_by={n_shards} must be in 1..{len(cells)} "
-                f"(the cell count)")
-        bounds = np.linspace(0, len(cells), n_shards + 1).astype(int)
-        return [(str(i), cells[bounds[i]:bounds[i + 1]])
-                for i in range(n_shards)]
-    raise ValidationError(
-        f"unknown shard_by {shard_by!r}; expected one of {SHARD_MODES} "
-        "or a shard count")
-
-
-def _is_manifest(file_path: Path) -> bool:
-    """Manifest files are JSON; archives are zip (``PK`` magic)."""
-    if file_path.suffix == ".json":
-        return True
-    with open(file_path, "rb") as handle:
-        head = handle.read(2)
-    return head not in (b"PK",) and head[:1] in (b"{", b" ", b"\n")
-
-
-class ShardedPlanArchive:
-    """Lazy, cell-addressable view of a sharded plan archive.
-
-    Reads only the manifest up front; each shard archive is opened (and,
-    with ``mmap=True``, memory-mapped) the first time one of its cells
-    is requested through :meth:`feature_plan`.  This is what lets a
-    serving worker map only the cells it actually serves.  ``max_shards``
-    bounds how many shards stay resident (least-recently-used eviction);
-    ``None`` keeps every touched shard.
-
-    The object quacks enough like a :class:`RepairPlan` for Algorithm-2
-    consumers: ``n_features``, ``t``, ``metadata``, ``u_values``,
-    ``covers`` and ``feature_plan``.  :meth:`load_all` materialises the
-    full plan (what ``load_plan`` does for manifests).
-    """
-
-    def __init__(self, manifest_path, *, mmap: bool = False,
-                 max_shards: int | None = None) -> None:
-        path = Path(manifest_path)
-        if not path.exists():
-            raise DataError(f"plan manifest not found: {path}")
-        try:
-            manifest = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise DataError(
-                f"{path} is not a plan manifest: {exc}") from exc
-        if manifest.get("format") != _MANIFEST_FORMAT:
-            raise DataError(
-                f"{path} is not a plan manifest (format field "
-                f"{manifest.get('format')!r})")
-        _check_version(manifest, path)
-        if max_shards is not None and max_shards < 1:
-            raise ValidationError(
-                f"max_shards must be >= 1 or None, got {max_shards}")
-        self._path = path
-        self._mmap = mmap
-        self._max_shards = max_shards
-        self.n_features = int(manifest["n_features"])
-        self.t = float(manifest["t"])
-        self.metadata = dict(manifest.get("metadata", {}))
-        self._shards = manifest["shards"]
-        self._cell_to_shard = {}
-        for index, shard in enumerate(self._shards):
-            for (u, k) in shard["cells"]:
-                self._cell_to_shard[(int(u), int(k))] = index
-        if not self._cell_to_shard:
-            raise DataError(f"{path} names no cells")
-        #: shard index -> {(u, k): FeaturePlan}, LRU-ordered.
-        self._resident: OrderedDict = OrderedDict()
-        self.shard_loads = 0
-        self.shard_evictions = 0
-
-    @property
-    def cells(self) -> tuple:
-        return tuple(sorted(self._cell_to_shard))
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._shards)
-
-    @property
-    def u_values(self) -> tuple:
-        return tuple(sorted({u for (u, _) in self._cell_to_shard}))
-
-    def covers(self, u: int) -> bool:
-        return all((u, k) in self._cell_to_shard
-                   for k in range(self.n_features))
-
-    def shard_path(self, index: int) -> Path:
-        return self._path.parent / self._shards[index]["file"]
-
-    def feature_plan(self, u: int, k: int) -> FeaturePlan:
-        """The cell's :class:`FeaturePlan`, mapping its shard on demand."""
-        try:
-            index = self._cell_to_shard[(int(u), int(k))]
-        except KeyError:
-            raise ValidationError(
-                f"no plan designed for (u={u}, k={k}); available groups "
-                f"{self.u_values}") from None
-        cells = self._shard_cells(index)
-        return cells[(int(u), int(k))]
-
-    def _shard_cells(self, index: int) -> dict:
-        if index in self._resident:
-            self._resident.move_to_end(index)
-            return self._resident[index]
-        cells = self._load_shard(index)
-        self._resident[index] = cells
-        self.shard_loads += 1
-        if (self._max_shards is not None
-                and len(self._resident) > self._max_shards):
-            self._resident.popitem(last=False)
-            self.shard_evictions += 1
-        return cells
-
-    def _load_shard(self, index: int) -> dict:
-        shard_file = self.shard_path(index)
-        if not shard_file.exists():
-            raise DataError(
-                f"shard {shard_file} named by {self._path} is missing")
-        _, feature_plans = _read_archive(shard_file, mmap=self._mmap)
-        return feature_plans
-
-    def load_all(self) -> RepairPlan:
-        """Materialise every shard into one :class:`RepairPlan`."""
-        feature_plans = {}
-        for index in range(len(self._shards)):
-            feature_plans.update(self._load_shard(index))
-        return RepairPlan(feature_plans=feature_plans,
-                          n_features=self.n_features, t=self.t,
-                          metadata=dict(self.metadata))
-
-    def stats(self) -> dict:
-        """Residency counters for the serving tier's ``/stats``."""
-        return {"n_shards": self.n_shards,
-                "resident": len(self._resident),
-                "loads": self.shard_loads,
-                "evictions": self.shard_evictions}
-
-
-def _load_transport(archive, prefix: str, s: int,
-                    nodes: np.ndarray) -> TransportPlan:
-    """One plan from either its dense key or its CSR triplet keys.
-
-    Plan arrays are up-converted to float64 on load (quantised
-    ``dtype="float32"`` archives round-trip into ordinary float64
-    plans); CSR index arrays are accepted at either stored width
-    (int32 / int64).
-    """
-    cost = float(archive[f"{prefix}_cost_{s}"])
-    dense_key = f"{prefix}_plan_{s}"
-    if dense_key in archive:
-        matrix = np.asarray(archive[dense_key], dtype=np.float64)
-        return TransportPlan(matrix, nodes, nodes, cost)
-    n = nodes.size
-    return TransportPlan.from_sparse(
-        (np.asarray(archive[f"{dense_key}_data"], dtype=np.float64),
-         archive[f"{dense_key}_indices"],
-         archive[f"{dense_key}_indptr"]),
-        nodes, nodes, cost, shape=(n, n))
 
 
 def _infer_s_values(keys, prefix: str) -> list:

@@ -560,6 +560,33 @@ class TransportPlan:
         return plan
 
     @classmethod
+    def _over_arrays(cls, matrix, source_support, target_support,
+                     cost: float) -> "TransportPlan":
+        """A plan over ``matrix``'s own arrays, which it neither copies
+        nor writes: the read-only views of a mapped plan archive.
+
+        ``matrix`` is a float64 2-D array or CSR array.  The validated
+        constructor's checks run (finite mass, none below ``-atol``,
+        supports matching the shape), and the mass array is copied
+        only when an entry needs the clip at zero.
+        """
+        sparse = _sparse.issparse(matrix)
+        if not sparse and matrix.ndim != 2:
+            raise ValidationError(
+                f"plan matrix must be 2-D, got shape {matrix.shape}")
+        mass = matrix.data if sparse else matrix
+        if _check_mass(mass, 1e-6) < 0:
+            mass = np.clip(mass, 0.0, None)
+            if sparse:
+                matrix = _sparse.csr_array(
+                    (mass, matrix.indices, matrix.indptr), shape=matrix.shape)
+            else:
+                matrix = mass
+        return cls._trusted(
+            matrix, _as_support(source_support, matrix.shape[0], "source"),
+            _as_support(target_support, matrix.shape[1], "target"), cost)
+
+    @classmethod
     def from_sparse(cls, matrix, source_support, target_support,
                     cost: float = float("nan"), *,
                     shape=None) -> "TransportPlan":
@@ -659,8 +686,11 @@ class TransportPlan:
             rows = np.nonzero(zero)[0]
             row_of = np.repeat(np.arange(self.shape[0]), counts)
             data = np.where(zero[row_of], 0.0, data)
+            # eliminate_zeros compacts the index arrays in place, so it
+            # runs on copies, never on the plan's own (maybe read-only)
+            # arrays.
             base = _sparse.csr_array((data, matrix.indices, matrix.indptr),
-                                     shape=matrix.shape)
+                                     shape=matrix.shape, copy=True)
             base.eliminate_zeros()
             point = _sparse.csr_array(
                 (np.ones(rows.size), (rows, self._nearest_targets(rows))),
@@ -692,10 +722,11 @@ class TransportPlan:
 
         This is the deterministic "barycentric" image used by geometric
         repair variants; rows with zero mass map to their nearest target.
-        CSR plans compute this as a sparse-dense product without
-        densifying.
+        Both storages compute it as one sparse-dense product over the
+        CSR conditionals (a dense plan's :meth:`to_sparse` copy's), so
+        a dense plan projects bitwise what its CSR copy projects.
         """
-        conditionals = self.conditional_matrix()
+        conditionals = self.to_sparse().conditional_matrix()
         return np.asarray(conditionals @ self.target_support)
 
     def expected_cost(self, cost_matrix: np.ndarray) -> float:
@@ -718,12 +749,15 @@ class TransportPlan:
         return np.linalg.norm(diffs, axis=2).argmin(axis=1)
 
 
-def _check_mass(values: np.ndarray, atol: float) -> None:
-    """Reject plan entries that are not finite or are below ``-atol``."""
+def _check_mass(values: np.ndarray, atol: float) -> float:
+    """Reject plan entries that are not finite or are below ``-atol``;
+    returns the smallest entry (0 when there is none)."""
     if not np.isfinite(values).all():
         raise ValidationError("plan matrix contains non-finite entries")
-    if values.size and float(values.min()) < -atol:
+    low = float(values.min()) if values.size else 0.0
+    if low < -atol:
         raise ValidationError("plan matrix must be non-negative")
+    return low
 
 
 def _as_support(support, expected_len: int, name: str) -> np.ndarray:

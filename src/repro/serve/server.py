@@ -210,12 +210,12 @@ class RepairHTTPServer(ThreadingHTTPServer):
 
 
 def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
-                 max_shards, rounding: str, output: str, cache_size: int,
+                 rounding: str, output: str, cache_size: int,
                  max_batch: int) -> None:
     """A forked worker: own service + HTTP server on the shared socket."""
     service = RepairService.from_path(
-        plan_path, mmap=mmap, max_shards=max_shards, rounding=rounding,
-        output=output, cache_size=cache_size)
+        plan_path, mmap=mmap, rounding=rounding, output=output,
+        cache_size=cache_size)
     server = RepairHTTPServer(service, sock=sock, max_batch=max_batch)
     try:
         server.serve_forever(poll_interval=0.1)
@@ -226,7 +226,7 @@ def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
 
 
 def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
-          workers: int = 1, mmap: bool = True, max_shards=None,
+          workers: int = 1, mmap: bool = True,
           rounding: str = "stochastic", output: str = "sample",
           cache_size: int = 256, max_batch: int = 32,
           announce=print) -> None:
@@ -241,9 +241,8 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
     check_positive_int(workers, name="workers")
     sock = listening_socket(host, port)
     bound = sock.getsockname()
-    options = dict(mmap=mmap, max_shards=max_shards, rounding=rounding,
-                   output=output, cache_size=cache_size,
-                   max_batch=max_batch)
+    options = dict(mmap=mmap, rounding=rounding, output=output,
+                   cache_size=cache_size, max_batch=max_batch)
     if announce is not None:
         announce(f"repro serve: http://{bound[0]}:{bound[1]} "
                  f"({workers} worker{'s' if workers != 1 else ''}, "

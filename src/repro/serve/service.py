@@ -1,11 +1,14 @@
 """The repair service: warm plans, merged dispatches, accounting.
 
 :class:`RepairService` is the process-local engine behind the ``repro
-serve`` HTTP tier.  It wraps a loaded plan — a
-:class:`~repro.core.plan.RepairPlan` or a lazy
-:class:`~repro.core.serialize.ShardedPlanArchive` — and repairs request
-batches through :class:`~repro.core.repair.PreparedFeatureRepair`
-kernels kept hot in a bounded :class:`~repro.core.cache.LRUCache`.
+serve`` HTTP tier.  It wraps a loaded
+:class:`~repro.core.plan.RepairPlan` — by default one mapped lazily by
+``load_plan(path, mmap=True)``, so a worker builds only the cells its
+requests touch — and repairs request batches through
+:class:`~repro.core.repair.PreparedFeatureRepair` kernels kept hot in a
+bounded :class:`~repro.core.cache.LRUCache`.  A corrupt cell of a
+mapped archive fails only the requests that touch it, with the cell's
+:class:`~repro.exceptions.DataError`.
 
 Bit-identity with the offline path is the contract: for any request
 carrying a seed, the response equals
@@ -31,7 +34,7 @@ from ..core.cache import LRUCache
 from ..core.plan import RepairPlan
 from ..core.repair import (PreparedFeatureRepair, _check_modes,
                            _subgroup_rows)
-from ..core.serialize import ShardedPlanArchive, load_plan, _is_manifest
+from ..core.serialize import load_plan
 from ..data.dataset import FairnessDataset
 from ..exceptions import DataError, ReproError, ValidationError
 
@@ -87,26 +90,25 @@ class RepairService:
     Parameters
     ----------
     plan:
-        A :class:`RepairPlan` or :class:`ShardedPlanArchive` (anything
-        with ``n_features`` / ``covers`` / ``feature_plan``).
+        The :class:`RepairPlan` to serve.
     rounding, output:
         The Algorithm-2 randomisation modes every request is served
         with (fixed per service so responses stay comparable).
     cache_size:
         Bound on resident :class:`PreparedFeatureRepair` kernels, one
         per ``(u, s, k)`` cell.  A kernel holds ``O(n_Q)`` grid arrays;
-        its transport's ``O(nnz)`` sampler lives with the plan, dense
-        or CSR, so the plans resident in memory bound it (for a shard
-        manifest, ``max_shards``), not this cache.  Eviction is LRU;
-        evicted cells rebuild on next use.
+        its transport's ``O(nnz)`` sampler lives with the plan's cell,
+        dense or CSR, so the cells the service has touched bound it,
+        not this cache.  Eviction is LRU; evicted kernels rebuild on
+        next use.
     """
 
     def __init__(self, plan, *, rounding: str = "stochastic",
                  output: str = "sample", cache_size: int = 256) -> None:
-        if not isinstance(plan, (RepairPlan, ShardedPlanArchive)):
+        if not isinstance(plan, RepairPlan):
             raise ValidationError(
-                "RepairService expects a RepairPlan or "
-                f"ShardedPlanArchive, got {type(plan).__name__}")
+                "RepairService expects a RepairPlan, got "
+                f"{type(plan).__name__}")
         _check_modes(rounding, output)
         self.plan = plan
         self.rounding = rounding
@@ -121,26 +123,15 @@ class RepairService:
 
     @classmethod
     def from_path(cls, path, *, mmap: bool = True,
-                  max_shards: int | None = None,
                   **kwargs) -> "RepairService":
-        """Build a service from a plan archive or shard manifest.
+        """Build a service from a plan archive.
 
-        Archives are memory-mapped by default (near-instant start-up,
-        plan bytes shared across worker processes through the page
-        cache); manifests stay *lazy* — each shard is mapped the first
-        time one of its cells is requested, bounded by ``max_shards``.
+        The archive is memory-mapped by default: start-up reads only
+        its header and zip directory, each cell is built on its first
+        request, and plan bytes are shared across worker processes
+        through the page cache.
         """
-        from pathlib import Path
-
-        file_path = Path(path)
-        if not file_path.exists():
-            raise DataError(f"plan file not found: {file_path}")
-        if _is_manifest(file_path):
-            plan = ShardedPlanArchive(file_path, mmap=mmap,
-                                      max_shards=max_shards)
-        else:
-            plan = load_plan(file_path, mmap=mmap)
-        return cls(plan, **kwargs)
+        return cls(load_plan(path, mmap=mmap), **kwargs)
 
     @property
     def n_features(self) -> int:
@@ -244,7 +235,7 @@ class RepairService:
                 for u, s, rows in _subgroup_rows(dataset, u_values)]
 
     def stats(self) -> dict:
-        """Service counters + cache (and shard) accounting."""
+        """Service counters + cache accounting."""
         with self._lock:
             dispatches = self.n_cell_dispatches
             merged = (self.n_cell_items / dispatches) if dispatches else 0.0
@@ -253,7 +244,4 @@ class RepairService:
                    "cell_items": self.n_cell_items,
                    "mean_merge": merged}
         out["cache"] = self.cells.stats()
-        shard_stats = getattr(self.plan, "stats", None)
-        if callable(shard_stats):
-            out["shards"] = shard_stats()
         return out

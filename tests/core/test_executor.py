@@ -21,13 +21,16 @@ class TestResolveExecutor:
         assert resolve_executor("auto", n_jobs=1).name == "serial"
 
     def test_auto_picks_threads_for_blas_bound_solvers(self):
-        for solver in ("lp", "screened", "multiscale", "sinkhorn"):
+        for solver in ("lp", "multiscale", "sinkhorn"):
             engine = resolve_executor("auto", n_jobs=3, solver=solver)
             assert engine.name == "thread" and engine.n_jobs == 3
 
     def test_auto_picks_processes_otherwise(self):
-        engine = resolve_executor("auto", n_jobs=3, solver="exact")
-        assert engine.name == "process" and engine.n_jobs == 3
+        # The screened hybrid's restricted solve is the pure-Python
+        # network simplex, which holds the GIL.
+        for solver in ("exact", "screened"):
+            engine = resolve_executor("auto", n_jobs=3, solver=solver)
+            assert engine.name == "process" and engine.n_jobs == 3
         assert resolve_executor("auto", n_jobs=2).name == "process"
 
     def test_named_strategies(self):

@@ -8,11 +8,12 @@ import re
 import numpy as np
 import pytest
 
+from repro.core import serialize
 from repro.core.design import design_repair
 from repro.core.plan import FeaturePlan, RepairPlan
 from repro.core.repair import repair_dataset
-from repro.core.serialize import (FORMAT_VERSION, ShardedPlanArchive,
-                                  load_plan, save_plan)
+from repro.core.serialize import FORMAT_VERSION, load_plan, save_plan
+from repro.data.dataset import FairnessDataset
 from repro.density.grid import InterpolationGrid
 from repro.exceptions import DataError, ValidationError
 from repro.ot.coupling import TransportPlan
@@ -228,8 +229,17 @@ class TestErrors:
         for key in plan_keys:
             arrays[key] = np.full_like(arrays[key], np.nan)
         np.savez(written, **arrays)
-        with pytest.raises(DataError, match="non-finite"):
-            load_plan(written, mmap=mmap)
+        if not mmap:
+            with pytest.raises(DataError, match="non-finite"):
+                load_plan(written)
+            return
+        # The mapped loader reads cells lazily: the corrupt cell raises
+        # on its first access, and on every later one.
+        mapped = load_plan(written, mmap=True)
+        cell = next(iter(mapped.feature_plans))
+        for _ in range(2):
+            with pytest.raises(DataError, match="non-finite"):
+                mapped.feature_plans[cell]
 
     @pytest.mark.parametrize("mmap", [False, True])
     @pytest.mark.parametrize("content", [b"", b"garbage"],
@@ -446,15 +456,130 @@ class TestMappedArchives:
                                               tmp_path):
         import mmap as mmap_module
 
+        def assert_view_of_the_map(array):
+            # Aligned, or numpy copies it inside take and searchsorted.
+            assert array.flags.aligned
+            assert not array.flags.writeable
+            base = array
+            while getattr(base, "base", None) is not None:
+                base = base.base
+            assert isinstance(base, memoryview)
+            assert isinstance(base.obj, mmap_module.mmap)
+
         written = save_plan(fitted_plan, tmp_path / "plan.npz")
         mapped = load_plan(written, mmap=True)
-        cell = next(iter(mapped.feature_plans.values()))
-        array = cell.grid.nodes
-        base = array
-        while getattr(base, "base", None) is not None:
-            base = base.base
-        assert isinstance(base, memoryview)
-        assert isinstance(base.obj, mmap_module.mmap)
+        for cell in mapped.feature_plans.values():
+            assert_view_of_the_map(cell.grid.nodes)
+            assert_view_of_the_map(cell.barycenter)
+            for transport in cell.transports.values():
+                matrix = transport.matrix
+                if transport.is_sparse:
+                    for array in (matrix.data, matrix.indices,
+                                  matrix.indptr):
+                        assert_view_of_the_map(array)
+                else:
+                    assert_view_of_the_map(matrix)
+                # Sampling reads the plan without writing it.
+                transport.sample_conditional([0, 1], [0.25, 0.75])
+                transport.barycentric_projection()
+
+    def test_mmap_builds_cells_on_first_use(self, paper_split, tmp_path,
+                                            monkeypatch):
+        built = []
+        read_cell = serialize._read_cell
+
+        def recording(archive, header, cell, file_path):
+            built.append(cell)
+            return read_cell(archive, header, cell, file_path)
+
+        monkeypatch.setattr(serialize, "_read_cell", recording)
+        plan = design_repair(paper_split.research, 20)
+        written = save_plan(plan, tmp_path / "plan.npz")
+        mapped = load_plan(written, mmap=True)
+        assert built == []
+        assert set(mapped.feature_plans) == set(plan.feature_plans)
+        assert mapped.u_values == plan.u_values
+        assert all(mapped.covers(u) for u in plan.u_values)
+        assert built == []
+
+        archive = paper_split.archive
+        group = plan.u_values[0]
+        rows = archive.u == group
+        one_group = FairnessDataset(archive.features[rows],
+                                    archive.s[rows], archive.u[rows])
+        expected = repair_dataset(one_group, plan,
+                                  rng=np.random.default_rng(4))
+        got = repair_dataset(one_group, mapped,
+                             rng=np.random.default_rng(4))
+        np.testing.assert_array_equal(got.features, expected.features)
+        assert sorted(built) == [(group, k)
+                                 for k in range(plan.n_features)]
+        # A built cell is kept: repairing again reads nothing.
+        repair_dataset(one_group, mapped, rng=np.random.default_rng(4))
+        assert len(built) == plan.n_features
+
+    def test_racing_first_accesses_keep_one_cell(self, fitted_plan,
+                                                 tmp_path, monkeypatch):
+        # Threads racing on a cell's first access may each build it, but
+        # every one of them gets the single copy the plan keeps.  Each
+        # build waits until all eight threads have read the cell, so
+        # every thread really misses the kept copy and builds its own.
+        import threading
+
+        n_threads = 8
+        reads = []
+        all_read = threading.Barrier(n_threads, timeout=30)
+        read_cell = serialize._read_cell
+
+        def racing(archive, header, cell, file_path):
+            built = read_cell(archive, header, cell, file_path)
+            reads.append(cell)
+            all_read.wait()
+            return built
+
+        monkeypatch.setattr(serialize, "_read_cell", racing)
+        written = save_plan(fitted_plan, tmp_path / "plan.npz")
+        mapped = load_plan(written, mmap=True)
+        cells = mapped.feature_plans
+        key = next(iter(cells))
+        got = []
+
+        def access():
+            got.append(cells[key])
+
+        threads = [threading.Thread(target=access)
+                   for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert reads == [key] * n_threads
+        assert len(got) == n_threads
+        assert all(cell is cells[key] for cell in got)
+        assert len(reads) == n_threads  # a kept cell is not read again
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_tiny_negative_mass_is_clipped(self, fitted_plan, tmp_path,
+                                           mmap):
+        # The loader wraps the stored arrays without the constructor's
+        # copy, so it must still clip mass within -atol of zero.
+        written = save_plan(fitted_plan, tmp_path / "plan.npz")
+        with np.load(written) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        key = next(key for key in sorted(arrays) if re.fullmatch(
+            r"cell_\d+_\d+_plan_\d+(_data)?", key))
+        mass = arrays[key].copy()
+        mass.reshape(-1)[0] = -1e-9
+        arrays[key] = mass
+        np.savez(written, **arrays)
+        u, k, s = map(int, re.findall(r"\d+", key))
+        transport = load_plan(written, mmap=mmap).feature_plans[
+            (u, k)].transports[s]
+        stored = transport.matrix.data if transport.is_sparse \
+            else transport.matrix
+        assert stored.reshape(-1)[0] == 0.0
+        assert stored.min() == 0.0
 
     def test_mmap_repairs_identically(self, fitted_plan, paper_split,
                                       tmp_path):
@@ -532,74 +657,6 @@ class TestIndexDtypes:
         with pytest.raises(ValidationError, match="index dtype"):
             save_plan(self._sparse_plan(), tmp_path / "plan.npz",
                       index_dtype="int16")
-
-
-class TestShardedArchives:
-    """``save_plan(..., shard_by=...)``: one design split across several
-    archives plus a manifest that loaders read transparently."""
-
-    @pytest.fixture
-    def multigroup_plan(self, rng):
-        from repro.data.simulated import paper_simulation_spec
-
-        research = paper_simulation_spec().sample(500, rng=rng)
-        return design_repair(research, 16)
-
-    @pytest.mark.parametrize("shard_by", ["u", "cell", 3])
-    def test_manifest_round_trip(self, multigroup_plan, tmp_path,
-                                 shard_by):
-        manifest = save_plan(multigroup_plan, tmp_path / "plan.npz",
-                             shard_by=shard_by)
-        assert manifest.name.endswith(".manifest.json")
-        loaded = load_plan(manifest)
-        assert set(loaded.feature_plans) == \
-            set(multigroup_plan.feature_plans)
-        for key, original in multigroup_plan.feature_plans.items():
-            for s in (0, 1):
-                np.testing.assert_array_equal(
-                    loaded.feature_plans[key].transports[s].toarray(),
-                    original.transports[s].toarray())
-
-    def test_sharded_repairs_identically(self, multigroup_plan,
-                                         paper_split, tmp_path):
-        manifest = save_plan(multigroup_plan, tmp_path / "plan.npz",
-                             shard_by="u")
-        a = repair_dataset(paper_split.archive, multigroup_plan,
-                           rng=np.random.default_rng(21))
-        b = repair_dataset(paper_split.archive, load_plan(manifest),
-                           rng=np.random.default_rng(21))
-        np.testing.assert_array_equal(a.features, b.features)
-
-    def test_lazy_archive_bounds_resident_shards(self, multigroup_plan,
-                                                 tmp_path):
-        manifest = save_plan(multigroup_plan, tmp_path / "plan.npz",
-                             shard_by="u")
-        archive = ShardedPlanArchive(manifest, max_shards=1)
-        u_values = sorted(archive.u_values)
-        assert len(u_values) >= 2
-        archive.feature_plan(u_values[0], 0)
-        archive.feature_plan(u_values[1], 0)
-        stats = archive.stats()
-        assert stats["resident"] == 1
-        assert stats["loads"] == 2
-        assert stats["evictions"] == 1
-
-    def test_lazy_cells_match_eager_load(self, multigroup_plan,
-                                         tmp_path):
-        manifest = save_plan(multigroup_plan, tmp_path / "plan.npz",
-                             shard_by="cell")
-        archive = ShardedPlanArchive(manifest, mmap=True)
-        for (u, k), original in multigroup_plan.feature_plans.items():
-            cell = archive.feature_plan(u, k)
-            for s in (0, 1):
-                np.testing.assert_array_equal(
-                    cell.transports[s].toarray(),
-                    original.transports[s].toarray())
-
-    def test_bad_shard_mode_rejected(self, multigroup_plan, tmp_path):
-        with pytest.raises(ValidationError, match="shard_by"):
-            save_plan(multigroup_plan, tmp_path / "plan.npz",
-                      shard_by="zodiac")
 
 
 class TestDiagnosticsPersistence:

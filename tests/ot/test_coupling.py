@@ -171,6 +171,60 @@ class TestSparseStorage:
         np.testing.assert_allclose(dense.conditional_matrix()[0],
                                    [1.0, 0.0, 0.0])
 
+    def test_conditional_matrix_leaves_the_plan_intact(self):
+        # Row 0 holds only an explicitly stored zero, so it takes the
+        # zero-mass fallback, whose compaction must run on copies and
+        # never on the plan's own arrays.
+        matrix = sparse.csr_array(
+            (np.array([0.0, 0.5, 0.5]), np.array([1, 0, 2]),
+             np.array([0, 1, 2, 3])), shape=(3, 3))
+        nodes = np.array([0.0, 5.0, 10.0])
+        plan = TransportPlan(matrix, nodes, nodes)
+        arrays = (plan.matrix.data, plan.matrix.indices, plan.matrix.indptr)
+        before = [array.copy() for array in arrays]
+        conditionals = plan.conditional_matrix()
+        for array, saved in zip(arrays, before):
+            np.testing.assert_array_equal(array, saved)
+        np.testing.assert_array_equal(
+            plan.toarray(), [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0],
+                             [0.0, 0.0, 0.5]])
+        np.testing.assert_array_equal(
+            conditionals.toarray(), [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                     [0.0, 0.0, 1.0]])
+
+    def test_read_only_plan_supports_every_operation(self):
+        # A plan over read-only arrays (a mapped archive's views) must
+        # serve every operation without writing them.
+        matrix = sparse.csr_array(
+            (np.array([0.0, 0.5, 0.5]), np.array([1, 0, 2]),
+             np.array([0, 1, 2, 3])), shape=(3, 3))
+        nodes = np.array([0.0, 5.0, 10.0])
+        plan = TransportPlan(matrix, nodes, nodes)
+        for array in (plan.matrix.data, plan.matrix.indices,
+                      plan.matrix.indptr):
+            array.flags.writeable = False
+        np.testing.assert_array_equal(
+            plan.conditional_matrix().toarray(),
+            [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        np.testing.assert_array_equal(plan.barycentric_projection().ravel(),
+                                      [0.0, 0.0, 10.0])
+        np.testing.assert_array_equal(
+            plan.sample_conditional([0, 1, 2], [0.5, 0.5, 0.5]), [0, 0, 2])
+        np.testing.assert_array_equal(plan.conditional_row(0),
+                                      [1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(plan.source_weights, [0.0, 0.5, 0.5])
+
+    def test_dense_projection_is_its_csr_copys_bitwise(self, rng):
+        # Both storages project through the CSR conditionals, so the
+        # barycentric output never depends on how a plan is stored.
+        matrix = rng.random((64, 64))
+        nodes = np.linspace(-1.0, 3.0, 64)
+        dense = TransportPlan(matrix / matrix.sum(), nodes, nodes)
+        got = dense.barycentric_projection()
+        want = dense.to_sparse().barycentric_projection()
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
     def test_barycentric_projection_matches(self, pair):
         dense, sparse_plan = pair
         np.testing.assert_allclose(sparse_plan.barycentric_projection(),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -133,16 +135,39 @@ class TestFromPath:
         got = service.repair(queries, rng=np.random.default_rng(3))
         np.testing.assert_array_equal(got, reference)
 
-    def test_shard_manifest(self, designed, tmp_path):
+    def test_corrupt_cell_fails_only_its_requests(self, designed,
+                                                  tmp_path):
+        # A mapped archive builds each cell on its first request, so a
+        # cell whose plan mass is NaN fails the requests that touch it
+        # with the cell's DataError, and every other group still serves
+        # bitwise like the offline repair.
         plan, queries = designed
-        manifest = save_plan(plan, tmp_path / "sharded.npz", shard_by="u")
-        service = RepairService.from_path(manifest, mmap=True,
-                                          max_shards=2)
-        reference = repair_dataset(queries, plan,
-                                   rng=np.random.default_rng(3)).features
-        got = service.repair(queries, rng=np.random.default_rng(3))
-        np.testing.assert_array_equal(got, reference)
-        assert "shards" in service.stats()
+        path = save_plan(plan, tmp_path / "plan.npz")
+        bad_u = plan.u_values[0]
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        corrupt = [key for key in arrays if re.fullmatch(
+            rf"cell_{bad_u}_0_plan_\d+(_data)?", key)]
+        assert corrupt
+        for key in corrupt:
+            arrays[key] = np.full_like(arrays[key], np.nan)
+        np.savez(path, **arrays)
+        service = RepairService.from_path(path, mmap=True)
+        touched = queries.u == bad_u
+        bad = queries.take(np.flatnonzero(touched)[:40])
+        good = queries.take(np.flatnonzero(~touched)[:40])
+        for _ in range(2):
+            results = service.repair_many([
+                RepairRequest(bad, np.random.default_rng(0)),
+                RepairRequest(good, np.random.default_rng(1))])
+            assert isinstance(results[0], DataError)
+            assert "non-finite" in str(results[0])
+            offline = repair_dataset(good, plan,
+                                     rng=np.random.default_rng(1)).features
+            np.testing.assert_array_equal(results[1].view(np.uint64),
+                                          offline.view(np.uint64))
+        stats = service.stats()
+        assert (stats["requests"], stats["errors"]) == (4, 2)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -300,26 +300,6 @@ class TestSolversCommand:
 
 
 class TestServeFlags:
-    def test_design_plan_shard_writes_manifest(self, sample_csv,
-                                               tmp_path, capsys):
-        from repro.core.serialize import load_plan
-
-        data_path, _ = sample_csv
-        out = tmp_path / "plan.npz"
-        assert main(["design", str(data_path), str(out), "--n-states",
-                     "16", "--plan-shard", "u"]) == 0
-        manifest = tmp_path / "plan.manifest.json"
-        assert manifest.exists()
-        assert str(manifest) in capsys.readouterr().out
-        assert load_plan(manifest).n_features >= 1
-
-    def test_design_plan_shard_integer_count(self, sample_csv, tmp_path):
-        data_path, _ = sample_csv
-        assert main(["design", str(data_path),
-                     str(tmp_path / "plan.npz"), "--n-states", "16",
-                     "--plan-shard", "2"]) == 0
-        assert (tmp_path / "plan.manifest.json").exists()
-
     def test_design_index_dtype_int64(self, sample_csv, tmp_path):
         data_path, _ = sample_csv
         out = tmp_path / "plan.npz"

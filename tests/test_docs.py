@@ -65,7 +65,7 @@ def test_readme_exists_and_covers_the_basics():
     readme = (REPO_ROOT / "README.md").read_text()
     for needle in ("pip install", "repro.ot", "DistributionalRepairer",
                    "--n-jobs", "solve_many", "benchmarks/results",
-                   "repro serve", "--plan-shard", "BackgroundServer"):
+                   "repro serve", "BackgroundServer"):
         assert needle in readme, f"README.md lost its {needle!r} section"
 
 
@@ -155,10 +155,6 @@ def test_architecture_doc_matches_code():
                  "RepairHTTPServer", "listening_socket"):
         assert name in doc, f"architecture.md lost serve API {name}"
         assert hasattr(serve_module, name)
-    # ...and the manifest format it documents is the one the code writes.
-    from repro.core.serialize import ShardedPlanArchive  # noqa: F401
-    assert "repro-plan-manifest" in doc
-    assert "ShardedPlanArchive" in doc
 
 
 def test_version_matches_pyproject():
