@@ -59,22 +59,29 @@ Subpackages
     Drivers that regenerate every table and figure of the paper.
 """
 
-from .classify import GaussianNaiveBayes, LogisticRegression
-from .core import (DistributionalRepairer, DriftMonitor, GeometricRepairer,
-                   PartialRepairer, RepairPipeline, RepairPlan, RepairReport,
-                   SubgroupLabelModel, design_repair, load_plan,
-                   repair_damage, repair_dataset, save_plan)
-from .data import (ArchiveStream, AttributeBinner, FairnessDataset,
-                   GaussianMixtureSpec, ResearchArchiveSplit, TableSchema,
-                   load_adult_csv, paper_simulation_spec,
-                   simulate_paper_data, synthesize_adult)
-from .exceptions import (ConvergenceError, DataError, InfeasibleProblemError,
-                         NotFittedError, ReproError, SchemaError,
-                         ValidationError)
-from .metrics import (conditional_dependence_energy, disparate_impact,
-                      conditional_disparate_impact, symmetric_kl)
-from .ot import (OTBatch, OTProblem, OTResult, Solver, available_solvers,
-                 register_batch_solver, register_solver, solve, solve_many)
+from ._lazy import lazy_exports
+
+# Exports are imported on first use: a process that only replays a
+# stored plan loads neither the design stack nor scipy.
+__getattr__, __dir__ = lazy_exports(globals(), {
+    ".classify": ("GaussianNaiveBayes", "LogisticRegression"),
+    ".core": ("DistributionalRepairer", "DriftMonitor", "GeometricRepairer",
+              "PartialRepairer", "RepairPipeline", "RepairPlan",
+              "RepairReport", "SubgroupLabelModel", "design_repair",
+              "load_plan", "repair_damage", "repair_dataset", "save_plan"),
+    ".data": ("ArchiveStream", "AttributeBinner", "FairnessDataset",
+              "GaussianMixtureSpec", "ResearchArchiveSplit", "TableSchema",
+              "load_adult_csv", "paper_simulation_spec",
+              "simulate_paper_data", "synthesize_adult"),
+    ".exceptions": ("ConvergenceError", "DataError",
+                    "InfeasibleProblemError", "NotFittedError",
+                    "ReproError", "SchemaError", "ValidationError"),
+    ".metrics": ("conditional_dependence_energy", "disparate_impact",
+                 "conditional_disparate_impact", "symmetric_kl"),
+    ".ot": ("OTBatch", "OTProblem", "OTResult", "Solver",
+            "available_solvers", "register_batch_solver", "register_solver",
+            "solve", "solve_many"),
+})
 
 __version__ = "1.0.0"
 

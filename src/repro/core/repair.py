@@ -47,7 +47,6 @@ from ..data.streaming import ArchiveStream
 from ..density.grid import locate_cells
 from ..exceptions import NotFittedError, ValidationError
 from ..ot.registry import resolve_solver
-from .design import design_repair
 from .plan import FeaturePlan, RepairPlan
 
 __all__ = ["repair_feature_values", "repair_dataset",
@@ -58,6 +57,14 @@ __all__ = ["repair_feature_values", "repair_dataset",
 ROUNDING_MODES = ("stochastic", "nearest")
 #: Supported output modes for the repaired value.
 OUTPUT_MODES = ("sample", "barycentric", "interpolated")
+
+
+def design_repair(*args, **kwargs) -> RepairPlan:
+    """:func:`repro.core.design.design_repair`, imported on first call:
+    replaying a plan never loads the design stack."""
+    from . import design
+
+    return design.design_repair(*args, **kwargs)
 
 
 def _check_modes(rounding: str, output: str) -> None:

@@ -91,7 +91,6 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from ..density.grid import InterpolationGrid
 from ..exceptions import DataError, ValidationError
@@ -205,14 +204,14 @@ def save_plan(plan: RepairPlan, path, *, compress: bool = False,
             arrays[f"{prefix}_marginal_{label}"] = feature_plan.marginals[s]
             arrays[f"{prefix}_cost_{label}"] = np.array(transport.cost)
             if transport.is_sparse:
-                matrix = transport.matrix
-                idx_dtype = _csr_index_dtype(matrix, index_dtype)
+                data, indices, indptr = transport._csr
+                idx_dtype = _csr_index_dtype(transport, index_dtype)
                 arrays[f"{prefix}_plan_{label}_data"] = \
-                    matrix.data.astype(plan_dtype, copy=False)
+                    data.astype(plan_dtype, copy=False)
                 arrays[f"{prefix}_plan_{label}_indices"] = \
-                    matrix.indices.astype(idx_dtype, copy=False)
+                    indices.astype(idx_dtype, copy=False)
                 arrays[f"{prefix}_plan_{label}_indptr"] = \
-                    matrix.indptr.astype(idx_dtype, copy=False)
+                    indptr.astype(idx_dtype, copy=False)
             else:
                 arrays[f"{prefix}_plan_{label}"] = \
                     transport.matrix.astype(plan_dtype, copy=False)
@@ -256,7 +255,7 @@ def _savez_aligned(file_path: Path, arrays: dict) -> None:
             info.extra = b""
 
 
-def _csr_index_dtype(matrix, index_dtype) -> np.dtype:
+def _csr_index_dtype(plan: TransportPlan, index_dtype) -> np.dtype:
     """Storage dtype of a CSR plan's ``indices`` / ``indptr`` arrays.
 
     ``int32`` fits when both the column count (bounds ``indices``) and
@@ -264,13 +263,13 @@ def _csr_index_dtype(matrix, index_dtype) -> np.dtype:
     (``index_dtype=None``) takes it whenever it fits.
     """
     limit = np.iinfo(np.int32).max
-    fits = matrix.shape[1] <= limit and matrix.nnz <= limit
+    fits = plan.shape[1] <= limit and plan.nnz <= limit
     if index_dtype is None:
         return np.dtype(np.int32 if fits else np.int64)
     requested = np.dtype(str(index_dtype))
     if requested == np.int32 and not fits:
         raise ValidationError(
-            f"plan with shape {matrix.shape} and nnz {matrix.nnz} "
+            f"plan with shape {plan.shape} and nnz {plan.nnz} "
             "overflows int32 indices; use index_dtype='int64' (or None)")
     return requested
 
@@ -384,19 +383,21 @@ def _read_transport(archive, prefix: str, s: int,
 
     Quantised ``dtype="float32"`` plan mass is up-converted to float64,
     so such archives load into ordinary float64 plans; CSR index arrays
-    are accepted at either stored width (int32 / int64).
+    are accepted at either stored width (int32 / int64).  A triplet's
+    structure is checked in ``O(nnz)`` (1-D arrays, integer indices,
+    an ``indptr`` from 0 to nnz that never decreases, every column on
+    the grid), so a corrupt one fails here, not in a repair.
     """
     cost = float(archive[f"{prefix}_cost_{s}"])
     key = f"{prefix}_plan_{s}"
     if key in archive:
-        matrix = archive[key].astype(np.float64, copy=False)
+        matrix, shape = archive[key].astype(np.float64, copy=False), None
     else:
-        n = nodes.size
-        matrix = _sparse.csr_array(
-            (archive[f"{key}_data"].astype(np.float64, copy=False),
-             archive[f"{key}_indices"], archive[f"{key}_indptr"]),
-            shape=(n, n))
-    return TransportPlan._over_arrays(matrix, nodes, nodes, cost)
+        matrix = (archive[f"{key}_data"].astype(np.float64, copy=False),
+                  archive[f"{key}_indices"], archive[f"{key}_indptr"])
+        shape = (nodes.size, nodes.size)
+    return TransportPlan._over_arrays(matrix, nodes, nodes, cost,
+                                      shape=shape)
 
 
 class _MappedCells(Mapping):

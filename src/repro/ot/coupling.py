@@ -8,10 +8,15 @@ offers the operations the repair algorithms need: conditional rows
 (Eq. 15), barycentric projection (Eqs. 8-9), and transport cost.
 
 Storage is dual-mode: the plan matrix is either a dense ``(n, m)`` array or
-a CSR sparse array (:class:`scipy.sparse.csr_array`).  Exact monotone
-plans are staircases with at most ``n + m - 1`` non-zeros, and the
-``"exact"`` solver emits them as CSR straight from its kernel, so no
-``(n, m)`` array exists anywhere on the default path.  Simplex,
+a CSR plan.  A CSR plan is stored as its ``(data, indices, indptr)``
+triplet; :attr:`TransportPlan.matrix` builds a
+:class:`scipy.sparse.csr_array` over those same arrays on first read
+and keeps it.  Storage queries, the source marginal, the conditional
+rows' sampler and the archive reader and writer use the triplet
+itself, so replaying a stored CSR plan never imports scipy.  Exact
+monotone plans are staircases with at most ``n + m - 1`` non-zeros, and
+the ``"exact"`` solver emits them as CSR straight from its kernel, so
+no ``(n, m)`` array exists anywhere on the default path.  Simplex,
 screened and multiscale plans are CSR at or below
 :data:`SPARSE_DENSITY_THRESHOLD` density (:func:`is_sparse_enough`),
 and the design stores any other plan that sparse as CSR too; denser
@@ -37,10 +42,11 @@ convert with :meth:`TransportPlan.to_sparse` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from .._validation import as_1d_array, as_probability_vector
 from ..density.grid import GUESS_CROSSOVER
@@ -66,13 +72,20 @@ _AMBIGUOUS = 255
 SPARSE_DENSITY_THRESHOLD = 0.25
 
 
+def _issparse(matrix) -> bool:
+    """:func:`scipy.sparse.issparse` without importing scipy: no scipy
+    sparse object can exist before :mod:`scipy.sparse` is imported."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
+
+
 def is_sparse_enough(matrix) -> bool:
     """True when a plan ``matrix`` (dense array or scipy sparse) is worth
     storing as CSR: at most :data:`SPARSE_DENSITY_THRESHOLD` of its
     entries are stored non-zeros.  The one storage rule of the solvers
     and the design."""
     n, m = matrix.shape
-    if _sparse.issparse(matrix):
+    if _issparse(matrix):
         nnz = matrix.nnz
     else:
         nnz = np.count_nonzero(matrix)
@@ -80,24 +93,40 @@ def is_sparse_enough(matrix) -> bool:
 
 
 def _row_sums(matrix) -> np.ndarray:
-    if _sparse.issparse(matrix):
+    if _issparse(matrix):
         return np.asarray(matrix.sum(axis=1)).ravel()
     return matrix.sum(axis=1)
 
 
+def _csr_row_sums(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """Row sums of a CSR triplet, computed as scipy's
+    ``csr_array.sum(axis=1)`` computes them (one ``reduceat`` over the
+    non-empty rows), so they are bitwise equal to it."""
+    totals = np.zeros(indptr.size - 1)
+    nonempty = np.flatnonzero(indptr[1:] != indptr[:-1])
+    if nonempty.size:
+        totals[nonempty] = np.add.reduceat(data, indptr[nonempty])
+    return totals
+
+
 def _col_sums(matrix) -> np.ndarray:
-    if _sparse.issparse(matrix):
+    if _issparse(matrix):
         return np.asarray(matrix.sum(axis=0)).ravel()
     return matrix.sum(axis=0)
 
 
 def _inner_product(matrix, cost: np.ndarray) -> float:
-    """``<C, π>`` for a dense or CSR plan, without densifying."""
-    if _sparse.issparse(matrix):
-        row_of = np.repeat(np.arange(matrix.shape[0]),
-                           np.diff(matrix.indptr))
-        return float((cost[row_of, matrix.indices] * matrix.data).sum())
+    """``<C, π>`` for a dense or scipy sparse plan, without densifying."""
+    if _issparse(matrix):
+        return _csr_inner_product(matrix.data, matrix.indices,
+                                  matrix.indptr, cost)
     return float(np.sum(cost * matrix))
+
+
+def _csr_inner_product(data, indices, indptr, cost: np.ndarray) -> float:
+    """``<C, π>`` over a CSR triplet."""
+    row_of = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    return float((cost[row_of, indices] * data).sum())
 
 
 def marginal_residual(matrix, source_weights: np.ndarray,
@@ -112,7 +141,7 @@ def marginal_residual(matrix, source_weights: np.ndarray,
 def is_coupling(matrix, source_weights: np.ndarray,
                 target_weights: np.ndarray, *, atol: float = 1e-6) -> bool:
     """True when ``matrix`` couples the two weight vectors within ``atol``."""
-    if _sparse.issparse(matrix):
+    if _issparse(matrix):
         if matrix.nnz and float(matrix.data.min()) < -atol:
             return False
     elif np.any(matrix < -atol):
@@ -281,7 +310,8 @@ class CSRSampler:
     :meth:`~repro.core.plan.FeaturePlan.sample_targets`, joint repair
     and the Algorithm-2 kernel
     :class:`~repro.core.repair.PreparedFeatureRepair`.  Any storage is
-    accepted; a dense matrix is converted to CSR, which drops its zeros.
+    accepted, or the CSR ``(data, indices, indptr)`` triplet itself; a
+    dense matrix is converted to CSR, which drops its zeros.
 
     Row r's CDF at its j-th stored entry is ``cum[first+j+1] -
     cum[first]`` over the zero-prefixed running sum ``cum`` of the CSR
@@ -307,17 +337,23 @@ class CSRSampler:
     __slots__ = ("indices", "cumulative", "first", "last", "_guide")
 
     def __init__(self, conditionals) -> None:
-        matrix = conditionals
-        if not _sparse.issparse(matrix) or matrix.format != "csr":
-            matrix = _sparse.csr_array(matrix)
-        first = matrix.indptr[:-1].astype(np.intp)
-        last = matrix.indptr[1:].astype(np.intp) - 1
+        if isinstance(conditionals, tuple):
+            data, indices, indptr = conditionals
+        else:
+            from scipy import sparse
+
+            matrix = conditionals
+            if not sparse.issparse(matrix) or matrix.format != "csr":
+                matrix = sparse.csr_array(matrix)
+            data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+        first = indptr[:-1].astype(np.intp)
+        last = indptr[1:].astype(np.intp) - 1
         if np.any(last < first):
             raise ValidationError(
                 "conditional matrix has empty rows; normalise it with "
                 "TransportPlan.conditional_matrix() first")
-        self.indices = matrix.indices
-        self.cumulative = np.concatenate([[0.0], np.cumsum(matrix.data,
+        self.indices = indices
+        self.cumulative = np.concatenate([[0.0], np.cumsum(data,
                                                            dtype=float)])
         self.first = first
         self.last = last
@@ -424,25 +460,34 @@ def _search_entries(cumulative, first, last, target) -> np.ndarray:
     return entry
 
 
-#: A minimal CSR array built by scipy's own constructor; trusted CSR
-#: plans start from a copy of its instance attributes.
-_CSR_TEMPLATE = _sparse.csr_array((1, 1))
+@functools.cache
+def _csr_template() -> dict:
+    """The instance attributes of a minimal CSR array built by scipy's
+    own constructor, made on first use; every CSR view starts from a
+    copy of them."""
+    from scipy import sparse
+
+    return vars(sparse.csr_array((1, 1)))
 
 
 def _csr_from_canonical(data: np.ndarray, indices: np.ndarray,
                         indptr: np.ndarray, shape: tuple):
-    """A :class:`scipy.sparse.csr_array` over canonical CSR triplets,
-    assembled without scipy's constructor checks.
+    """A :class:`scipy.sparse.csr_array` over CSR triplets, assembled
+    without scipy's constructor checks.
 
-    The caller guarantees what scipy would otherwise check: ``indptr``
-    has ``n + 1`` non-decreasing entries ending at ``data.size``, every
-    row's column indices are sorted and unique and lie in ``[0, m)``,
-    and ``indices`` and ``indptr`` share one integer dtype.  On a
-    50-state plan the public constructor's checks cost as much as the
-    rest of the exact solve's CSR assembly.
+    The caller guarantees what the constructor would otherwise check,
+    and what :func:`_checked_csr` checks: ``indptr`` has ``n + 1``
+    non-decreasing entries from 0 to ``data.size``, every column index
+    lies in ``[0, m)``, and ``indices`` and ``indptr`` share one
+    integer dtype.  Like the constructor, the view asserts nothing about
+    the order of a row's columns; scipy works that out when an
+    operation needs it.  On a 50-state plan the constructor's checks
+    cost as much as the rest of the exact solve's CSR assembly.
     """
-    matrix = _sparse.csr_array.__new__(_sparse.csr_array)
-    vars(matrix).update(vars(_CSR_TEMPLATE))
+    from scipy import sparse
+
+    matrix = sparse.csr_array.__new__(sparse.csr_array)
+    vars(matrix).update(_csr_template())
     matrix._shape = (int(shape[0]), int(shape[1]))
     matrix.data = data
     matrix.indices = indices
@@ -450,16 +495,57 @@ def _csr_from_canonical(data: np.ndarray, indices: np.ndarray,
     return matrix
 
 
-@dataclass(frozen=True)
+def _checked_csr(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple) -> tuple:
+    """The ``(data, indices, indptr)`` triplet of an ``(n, m)`` CSR plan,
+    checked in ``O(nnz)`` for what :func:`_csr_from_canonical` and
+    :class:`CSRSampler` rely on.
+
+    All three arrays are 1-D and both index arrays hold integers;
+    ``indptr`` has ``n + 1`` entries, starts at 0, never decreases and
+    ends at ``data.size``; ``indices`` has ``data.size`` entries, each in
+    ``[0, m)``.  Index arrays that are not both int32 or both int64 are
+    cast to int64.  Raises :class:`ValidationError`.
+    """
+    n, m = shape
+    if any(np.ndim(array) != 1 for array in (data, indices, indptr)):
+        raise ValidationError("CSR plan arrays must be 1-D")
+    if indices.dtype.kind not in "iu" or indptr.dtype.kind not in "iu":
+        raise ValidationError(
+            f"CSR index arrays must hold integers, got {indices.dtype} "
+            f"and {indptr.dtype}")
+    if (indptr.size != n + 1 or indptr[0] != 0 or indptr[-1] != data.size
+            or np.any(indptr[1:] < indptr[:-1])):
+        raise ValidationError(
+            f"CSR indptr of a {n}-row plan must hold {n + 1} entries "
+            f"that start at 0, never decrease and end at {data.size}")
+    if indices.size != data.size:
+        raise ValidationError(
+            f"CSR plan has {data.size} values but {indices.size} column "
+            "indices")
+    if indices.size and (indices.min() < 0 or indices.max() >= m):
+        raise ValidationError(f"CSR column indices must lie in [0, {m})")
+    if indices.dtype != indptr.dtype or indptr.dtype not in (np.int32,
+                                                             np.int64):
+        indices, indptr = indices.astype(np.int64), indptr.astype(np.int64)
+    return data, indices, indptr
+
+
 class TransportPlan:
     """An optimal (or candidate) transport plan between discrete measures.
+
+    ``TransportPlan(matrix, source_support, target_support, cost)``
+    checks and copies ``matrix``, a dense array or any scipy sparse
+    matrix (stored as CSR); :meth:`from_sparse` also takes a CSR
+    triplet.  Plans are immutable.
 
     Attributes
     ----------
     matrix:
         ``(n, m)`` joint probability matrix ``π`` — a dense
-        :class:`numpy.ndarray` or a :class:`scipy.sparse.csr_array`
-        (any scipy sparse input is normalised to CSR).
+        :class:`numpy.ndarray`, or for a CSR plan a
+        :class:`scipy.sparse.csr_array` over its stored ``(data,
+        indices, indptr)`` triplet, built on first read and kept.
     source_support, target_support:
         Support points of the two marginals, shape ``(n, d)`` / ``(m, d)``;
         1-D supports are stored as ``(n, 1)``.
@@ -468,45 +554,76 @@ class TransportPlan:
         solver, else ``nan``.
     """
 
-    matrix: np.ndarray
-    source_support: np.ndarray
-    target_support: np.ndarray
-    cost: float = float("nan")
-    _atol: float = field(default=1e-6, repr=False)
+    def __init__(self, matrix, source_support, target_support,
+                 cost: float = float("nan"), _atol: float = 1e-6) -> None:
+        csr = None
+        if _issparse(matrix):
+            from scipy import sparse
 
-    def __post_init__(self) -> None:
-        if _sparse.issparse(self.matrix):
-            matrix = _sparse.csr_array(self.matrix, copy=True)
+            matrix = sparse.csr_array(matrix, copy=True)
             if matrix.dtype != np.float64:
                 matrix = matrix.astype(float)
-            _check_mass(matrix.data, self._atol)
+            _check_mass(matrix.data, _atol)
             np.clip(matrix.data, 0.0, None, out=matrix.data)
+            csr = (matrix.data, matrix.indices, matrix.indptr)
         else:
-            matrix = np.asarray(self.matrix, dtype=float)
+            matrix = np.asarray(matrix, dtype=float)
             if matrix.ndim != 2:
                 raise ValidationError(
                     f"plan matrix must be 2-D, got shape {matrix.shape}")
-            _check_mass(matrix, self._atol)
+            _check_mass(matrix, _atol)
             matrix = np.clip(matrix, 0.0, None)
-        source = _as_support(self.source_support, matrix.shape[0], "source")
-        target = _as_support(self.target_support, matrix.shape[1], "target")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "source_support", source)
-        object.__setattr__(self, "target_support", target)
+        n, m = matrix.shape
+        self._fill(matrix, csr, (n, m),
+                   _as_support(source_support, n, "source"),
+                   _as_support(target_support, m, "target"), cost)
+
+    def _fill(self, matrix, csr, shape, source_support, target_support,
+              cost) -> None:
+        """Set every field: ``matrix`` is the dense array or a CSR
+        plan's scipy view (``None`` until :attr:`matrix` is read), and
+        ``csr`` a CSR plan's triplet."""
+        vars(self).update(_matrix=matrix, _csr=csr,
+                          _shape=(int(shape[0]), int(shape[1])),
+                          source_support=source_support,
+                          target_support=target_support, cost=cost,
+                          _sampler=None)
+
+    def __setattr__(self, name, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        storage = f"CSR, nnz={self.nnz}" if self.is_sparse else "dense"
+        return (f"TransportPlan(shape={self.shape}, {storage}, "
+                f"cost={self.cost!r})")
 
     # -- storage -----------------------------------------------------------
 
     @property
+    def matrix(self):
+        """The ``(n, m)`` plan: the dense array, or a CSR plan's
+        :class:`scipy.sparse.csr_array`, built over the stored triplet
+        on first read (importing scipy) and kept."""
+        matrix = self._matrix
+        if matrix is None:  # a racing thread builds an equal view
+            matrix = vars(self)["_matrix"] = _csr_from_canonical(
+                *self._csr, self._shape)
+        return matrix
+
+    @property
     def is_sparse(self) -> bool:
         """True when the plan matrix is CSR-backed."""
-        return _sparse.issparse(self.matrix)
+        return self._csr is not None
 
     @property
     def nnz(self) -> int:
         """Stored non-zero entries (dense plans count exact non-zeros)."""
         if self.is_sparse:
-            return int(self.matrix.nnz)
-        return int(np.count_nonzero(self.matrix))
+            return int(self._csr[2][-1])
+        return int(np.count_nonzero(self._matrix))
 
     @property
     def density(self) -> float:
@@ -518,13 +635,15 @@ class TransportPlan:
         """The plan as a dense array (a copy when CSR-backed)."""
         if self.is_sparse:
             return self.matrix.toarray()
-        return self.matrix
+        return self._matrix
 
     def to_sparse(self) -> "TransportPlan":
         """CSR-backed copy of this plan (self when already sparse)."""
         if self.is_sparse:
             return self
-        return TransportPlan(_sparse.csr_array(self.matrix),
+        from scipy import sparse
+
+        return TransportPlan(sparse.csr_array(self._matrix),
                              self.source_support, self.target_support,
                              self.cost)
 
@@ -536,55 +655,58 @@ class TransportPlan:
                              self.target_support, self.cost)
 
     @classmethod
-    def _trusted(cls, matrix: np.ndarray, source_support: np.ndarray,
-                 target_support: np.ndarray,
-                 cost: float) -> "TransportPlan":
-        """Wrap *pre-validated* ingredients without the ``__post_init__``
+    def _trusted(cls, matrix, source_support: np.ndarray,
+                 target_support: np.ndarray, cost: float, *,
+                 shape=None) -> "TransportPlan":
+        """Wrap *pre-validated* ingredients without the constructor's
         checks or the defensive clip/copy.
 
         For internal hot paths only (the monotone kernel, which passes
-        a CSR matrix from :func:`_csr_from_canonical`, so neither this
-        class nor scipy re-validates its plans): the caller guarantees a
-        non-negative float ``(n, m)`` matrix — dense or CSR — and
-        canonical ``(n, 1)``-shaped float supports.  Field values are
-        identical to what the validated constructor would store — the
-        clip of a non-negative matrix is a value-preserving copy — so
-        trusted and validated plans are interchangeable bitwise.
+        its CSR triplets, so neither this class nor scipy re-validates
+        its plans): the caller guarantees a non-negative float64
+        ``(n, m)`` array, or with ``shape`` a CSR ``(data, indices,
+        indptr)`` triplet that :func:`_checked_csr` accepts unchanged,
+        and canonical ``(n, 1)``-shaped float supports.  Field values
+        are identical to what the validated constructor would store —
+        the clip of a non-negative matrix is a value-preserving copy —
+        so trusted and validated plans are interchangeable bitwise.
         """
         plan = cls.__new__(cls)
-        object.__setattr__(plan, "matrix", matrix)
-        object.__setattr__(plan, "source_support", source_support)
-        object.__setattr__(plan, "target_support", target_support)
-        object.__setattr__(plan, "cost", cost)
-        object.__setattr__(plan, "_atol", 1e-6)
+        if shape is None:
+            plan._fill(matrix, None, matrix.shape, source_support,
+                       target_support, cost)
+        else:
+            plan._fill(None, tuple(matrix), shape, source_support,
+                       target_support, cost)
         return plan
 
     @classmethod
     def _over_arrays(cls, matrix, source_support, target_support,
-                     cost: float) -> "TransportPlan":
+                     cost: float, *, shape=None) -> "TransportPlan":
         """A plan over ``matrix``'s own arrays, which it neither copies
         nor writes: the read-only views of a mapped plan archive.
 
-        ``matrix`` is a float64 2-D array or CSR array.  The validated
-        constructor's checks run (finite mass, none below ``-atol``,
-        supports matching the shape), and the mass array is copied
-        only when an entry needs the clip at zero.
+        ``matrix`` is a float64 2-D array, or with ``shape`` a CSR
+        ``(data, indices, indptr)`` triplet with float64 ``data``.  The
+        validated constructor's checks run (finite mass, none below
+        ``-atol``, supports matching the shape), a triplet's structure
+        is checked in ``O(nnz)`` (:func:`_checked_csr`), and the mass
+        array is copied only when an entry needs the clip at zero.
         """
-        sparse = _sparse.issparse(matrix)
-        if not sparse and matrix.ndim != 2:
-            raise ValidationError(
-                f"plan matrix must be 2-D, got shape {matrix.shape}")
-        mass = matrix.data if sparse else matrix
+        if shape is None:
+            if matrix.ndim != 2:
+                raise ValidationError(
+                    f"plan matrix must be 2-D, got shape {matrix.shape}")
+            (n, m), mass = matrix.shape, matrix
+        else:
+            (n, m), matrix = shape, _checked_csr(*matrix, shape)
+            mass = matrix[0]
         if _check_mass(mass, 1e-6) < 0:
             mass = np.clip(mass, 0.0, None)
-            if sparse:
-                matrix = _sparse.csr_array(
-                    (mass, matrix.indices, matrix.indptr), shape=matrix.shape)
-            else:
-                matrix = mass
+            matrix = mass if shape is None else (mass, *matrix[1:])
         return cls._trusted(
-            matrix, _as_support(source_support, matrix.shape[0], "source"),
-            _as_support(target_support, matrix.shape[1], "target"), cost)
+            matrix, _as_support(source_support, n, "source"),
+            _as_support(target_support, m, "target"), cost, shape=shape)
 
     @classmethod
     def from_sparse(cls, matrix, source_support, target_support,
@@ -595,16 +717,24 @@ class TransportPlan:
         ``matrix`` is any scipy sparse matrix/array, or a CSR triplet
         ``(data, indices, indptr)`` — the layout :func:`repro.core.
         serialize.save_plan` persists — in which case ``shape`` is
-        required.
+        required and the triplet's structure is checked as an archive's
+        is (:func:`_checked_csr`).
         """
         if isinstance(matrix, tuple) and len(matrix) == 3:
             if shape is None:
                 raise ValidationError(
                     "from_sparse needs an explicit shape with a "
                     "(data, indices, indptr) triplet")
-            matrix = _sparse.csr_array(matrix, shape=shape)
-        elif not _sparse.issparse(matrix):
-            matrix = _sparse.csr_array(np.asarray(matrix, dtype=float))
+            data, indices, indptr = matrix
+            # Copies: the plan owns its arrays, as constructed plans do.
+            return cls._over_arrays(
+                (np.array(data, dtype=float), np.array(indices),
+                 np.array(indptr)), source_support, target_support, cost,
+                shape=shape)
+        if not _issparse(matrix):
+            from scipy import sparse
+
+            matrix = sparse.csr_array(np.asarray(matrix, dtype=float))
         return cls(matrix, source_support, target_support, cost)
 
     # -- marginals ---------------------------------------------------------
@@ -612,7 +742,10 @@ class TransportPlan:
     @property
     def source_weights(self) -> np.ndarray:
         """Row sums: the source marginal ``µ``."""
-        return _row_sums(self.matrix)
+        if self.is_sparse:
+            data, _, indptr = self._csr
+            return _csr_row_sums(data, indptr)
+        return self._matrix.sum(axis=1)
 
     @property
     def target_weights(self) -> np.ndarray:
@@ -621,7 +754,7 @@ class TransportPlan:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.matrix.shape
+        return self._shape
 
     def verify(self, source_weights, target_weights, *,
                atol: float = 1e-6) -> None:
@@ -630,9 +763,9 @@ class TransportPlan:
                                    normalize=True)
         nu = as_probability_vector(target_weights, name="target_weights",
                                    normalize=True)
-        if self.matrix.shape != (mu.size, nu.size):
+        if self.shape != (mu.size, nu.size):
             raise ValidationError(
-                f"plan shape {self.matrix.shape} incompatible with marginals "
+                f"plan shape {self.shape} incompatible with marginals "
                 f"({mu.size}, {nu.size})")
         residual = marginal_residual(self.matrix, mu, nu)
         if residual > atol:
@@ -653,7 +786,7 @@ class TransportPlan:
         if self.is_sparse:
             row = self.matrix[[index], :].toarray().ravel()
         else:
-            row = self.matrix[index]
+            row = self._matrix[index]
         total = row.sum()
         if total <= 1e-300:
             fallback = np.zeros(self.shape[1])
@@ -669,35 +802,49 @@ class TransportPlan:
         same storage as the plan — dense in, dense out; CSR in, CSR out
         (the sparse path never densifies).
         """
-        totals = _row_sums(self.matrix)
+        if self.is_sparse:
+            return _csr_from_canonical(*self._conditional_csr(),
+                                       self._shape)
+        totals = self._matrix.sum(axis=1)
         zero = totals <= 1e-300
-        safe = np.where(zero, 1.0, totals)
-        if not self.is_sparse:
-            out = self.matrix / safe[:, None]
-            if zero.any():
-                rows = np.nonzero(zero)[0]
-                out[rows] = 0.0
-                out[rows, self._nearest_targets(rows)] = 1.0
-            return out
-        matrix = self.matrix
-        counts = np.diff(matrix.indptr)
-        data = matrix.data / np.repeat(safe, counts)
+        out = self._matrix / np.where(zero, 1.0, totals)[:, None]
         if zero.any():
             rows = np.nonzero(zero)[0]
-            row_of = np.repeat(np.arange(self.shape[0]), counts)
-            data = np.where(zero[row_of], 0.0, data)
-            # eliminate_zeros compacts the index arrays in place, so it
-            # runs on copies, never on the plan's own (maybe read-only)
-            # arrays.
-            base = _sparse.csr_array((data, matrix.indices, matrix.indptr),
-                                     shape=matrix.shape, copy=True)
-            base.eliminate_zeros()
-            point = _sparse.csr_array(
-                (np.ones(rows.size), (rows, self._nearest_targets(rows))),
-                shape=matrix.shape)
-            return (base + point).tocsr()
-        return _sparse.csr_array((data, matrix.indices, matrix.indptr),
-                                 shape=matrix.shape)
+            out[rows] = 0.0
+            out[rows, self._nearest_targets(rows)] = 1.0
+        return out
+
+    def _conditional_csr(self) -> tuple:
+        """The CSR triplet of a CSR plan's :meth:`conditional_matrix`,
+        the one normalisation behind it and :meth:`conditional_sampler`.
+
+        Each row is divided by its sum.  When some row's mass is at
+        most 1e-300, every entry of such a row and every entry that
+        normalises to zero is dropped, and each such row gets one entry
+        of 1 on its nearest target; for a CSR plan with sorted, unique
+        columns per row, as every plan this library builds has, that is
+        scipy's ``eliminate_zeros`` plus a point-mass sum, entry for
+        entry.
+        """
+        data, indices, indptr = self._csr
+        counts = np.diff(indptr)
+        totals = _csr_row_sums(data, indptr)
+        zero = totals <= 1e-300
+        data = data / np.repeat(np.where(zero, 1.0, totals), counts)
+        if not zero.any():
+            return data, indices, indptr
+        rows = np.flatnonzero(zero)
+        row_of = np.repeat(np.arange(totals.size), counts)
+        kept = np.flatnonzero((data != 0.0) & ~zero[row_of])
+        # A zero row keeps no entry, so a stable sort by row puts its
+        # point mass in its place and keeps every other row's order.
+        entry_rows = np.concatenate([row_of[kept], rows])
+        order = np.argsort(entry_rows, kind="stable")
+        counts = np.bincount(entry_rows, minlength=totals.size)
+        return (np.concatenate([data[kept], np.ones(rows.size)])[order],
+                np.concatenate([indices[kept],
+                                self._nearest_targets(rows)])[order],
+                np.concatenate([[0], np.cumsum(counts)]))
 
     def conditional_sampler(self) -> CSRSampler:
         """The :class:`CSRSampler` over this plan's conditional rows,
@@ -705,10 +852,10 @@ class TransportPlan:
         samples the plan shares one.  A dense plan's sampler is built
         from its CSR copy (:meth:`to_sparse`) and draws bitwise what
         that copy draws."""
-        sampler = self.__dict__.get("_sampler")
+        sampler = self._sampler
         if sampler is None:  # a racing thread builds an equal one
-            sampler = CSRSampler(self.to_sparse().conditional_matrix())
-            object.__setattr__(self, "_sampler", sampler)
+            sampler = vars(self)["_sampler"] = CSRSampler(
+                self.to_sparse()._conditional_csr())
         return sampler
 
     def sample_conditional(self, rows, uniforms) -> np.ndarray:
@@ -732,10 +879,12 @@ class TransportPlan:
     def expected_cost(self, cost_matrix: np.ndarray) -> float:
         """Expected transport cost ``<C, π>`` under an explicit cost."""
         cost = np.asarray(cost_matrix, dtype=float)
-        if cost.shape != self.matrix.shape:
+        if cost.shape != self.shape:
             raise ValidationError(
-                f"cost shape {cost.shape} != plan shape {self.matrix.shape}")
-        return _inner_product(self.matrix, cost)
+                f"cost shape {cost.shape} != plan shape {self.shape}")
+        if self.is_sparse:
+            return _csr_inner_product(*self._csr, cost)
+        return _inner_product(self._matrix, cost)
 
     def transpose(self) -> "TransportPlan":
         """The reverse plan (target -> source); storage mode is kept."""
@@ -743,10 +892,21 @@ class TransportPlan:
                              self.source_support, self.cost)
 
     def _nearest_targets(self, rows: np.ndarray) -> np.ndarray:
-        """Index of the nearest target point for each given source row."""
-        diffs = (self.source_support[rows][:, None, :]
-                 - self.target_support[None, :, :])
-        return np.linalg.norm(diffs, axis=2).argmin(axis=1)
+        """Index of the nearest target point for each given source row,
+        the first one on ties.  The rows go in blocks whose ``(rows, m,
+        d)`` difference array stays within 1 MiB (the norm takes two
+        more of its size), so a plan with many zero-mass rows over a
+        fine grid never holds one per row."""
+        source = self.source_support[rows]
+        target = self.target_support
+        step = max(1, (1 << 20) // max(8 * target.size, 1))
+        nearest = np.empty(source.shape[0], dtype=np.intp)
+        for start in range(0, source.shape[0], step):
+            diffs = (source[start:start + step, None, :]
+                     - target[None, :, :])
+            nearest[start:start + step] = np.linalg.norm(
+                diffs, axis=2).argmin(axis=1)
+        return nearest
 
 
 def _check_mass(values: np.ndarray, atol: float) -> float:

@@ -10,7 +10,6 @@ the test-suite, and as a fallback for ill-conditioned instances.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .._validation import as_probability_vector
 from ..exceptions import ConvergenceError, ValidationError
@@ -45,6 +44,8 @@ def transport_lp(cost: np.ndarray, source_weights, target_weights) -> np.ndarray
 def _lp_matrix(cost: np.ndarray, mu: np.ndarray,
                nu: np.ndarray) -> tuple[np.ndarray, int]:
     """The HiGHS solve on validated inputs; returns ``(plan, nit)``."""
+    from scipy import sparse
+
     n, m = cost.shape
     # Row-marginal constraints: each row of the plan sums to mu_i.
     row_blocks = sparse.kron(sparse.eye(n), np.ones((1, m)), format="csr")

@@ -80,7 +80,6 @@ call still solves the restricted LP exactly but reports
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from .._validation import check_positive_int
 from ..density.grid import InterpolationGrid
@@ -532,7 +531,7 @@ def _sparse_refined_support(coarse_result: OTResult,
     mu, nu = problem.source_weights, problem.target_weights
     m = nu.size
     coarse_matrix = coarse_result.plan.matrix
-    if sparse.issparse(coarse_matrix):
+    if coarse_result.plan.is_sparse:
         active_rows, active_cols = coarse_matrix.nonzero()
     else:
         active_rows, active_cols = np.nonzero(

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from scipy import sparse as _sparse
-
 from .._validation import as_probability_vector
 from ..exceptions import ValidationError
-from .coupling import TransportPlan
+from .coupling import TransportPlan, _issparse
 from .coupling import _inner_product as _plan_inner_product
 from .cost import cost_matrix as _build_cost_matrix
 
@@ -501,8 +499,10 @@ def result_from_matrix(problem: OTProblem, matrix: np.ndarray, *,
     ``converged=None`` derives the flag from the marginal residuals
     (``<= 1e-6``).
     """
-    if _sparse.issparse(matrix):
-        matrix = _sparse.csr_array(matrix)
+    if _issparse(matrix):
+        from scipy import sparse
+
+        matrix = sparse.csr_array(matrix)
     else:
         matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != problem.shape:

@@ -40,10 +40,9 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
 from ..exceptions import ValidationError
-from .coupling import TransportPlan
+from .coupling import TransportPlan, _issparse
 
 __all__ = ["Solver", "filter_opts", "register_solver",
            "register_batch_solver", "unregister_solver", "resolve_solver",
@@ -298,7 +297,7 @@ def coerce_result(outcome, problem):
     if isinstance(outcome, TransportPlan):
         return result_from_matrix(problem, outcome.matrix,
                                   value=outcome.cost)
-    if sparse.issparse(outcome):
+    if _issparse(outcome):
         if outcome.shape != problem.shape:
             raise ValidationError(
                 f"solver returned shape {outcome.shape}, expected a plan "

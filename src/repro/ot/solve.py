@@ -66,15 +66,13 @@ import time
 from dataclasses import replace
 
 import numpy as np
-from scipy import sparse
 
 from ..core.backend import get_backend
 from ..exceptions import (ConvergenceError, InfeasibleProblemError,
                           ValidationError)
 from .cost import pointwise_cost
-from .coupling import (TransportPlan, _csr_from_canonical,
-                       _inner_product as _plan_inner_product, band_bounds,
-                       is_banded, is_sparse_enough)
+from .coupling import (TransportPlan, _csr_inner_product, _issparse,
+                       band_bounds, is_banded, is_sparse_enough)
 from .lp import _linprog_with_presolve_retry, _lp_matrix
 from .network_simplex import NetworkSimplexState, network_simplex_arcs
 from .onedim import (_staircase_stack, _staircase_walk,
@@ -469,9 +467,8 @@ def _monotone_engine(problems, backend=None) -> list:
     The plan never exists densely: :func:`_staircase_csr` turns the
     ``(B, n + m)`` staircase stack into per-problem CSR triplets in
     ``O(B·(n + m))`` time and memory, and each result wraps its
-    triplets without re-validation
-    (:func:`~repro.ot.coupling._csr_from_canonical` and
-    :meth:`~repro.ot.coupling.TransportPlan._trusted`).  The triplets
+    triplets without re-validation and without scipy
+    (:meth:`~repro.ot.coupling.TransportPlan._trusted`).  The triplets
     hold exactly the values the dense scatter
     ``np.bincount(rows * m + cols, masses)`` would place, so
     ``plan.toarray()`` is that dense plan bitwise.
@@ -516,12 +513,12 @@ def _monotone_engine(problems, backend=None) -> list:
     col_errs = np.abs(col_sums - nu).max(axis=1)
     results = []
     for b, problem in enumerate(problems):
-        matrix = _csr_from_canonical(*triplets[b], (n, m))
         value = values[b]
         if value is None:
-            value = _plan_inner_product(matrix, problem.cost_matrix())
-        plan = TransportPlan._trusted(matrix, problem.source_support,
-                                      problem.target_support, float(value))
+            value = _csr_inner_product(*triplets[b], problem.cost_matrix())
+        plan = TransportPlan._trusted(triplets[b], problem.source_support,
+                                      problem.target_support, float(value),
+                                      shape=(n, m))
         results.append(OTResult(plan=plan, value=float(value),
                                 residual_source=float(row_errs[b]),
                                 residual_target=float(col_errs[b]),
@@ -692,6 +689,8 @@ def _solve_simplex(problem: OTProblem, *, max_iter: int | None = None,
     ``extras["mask_widened"]``.  The returned basis travels in
     ``extras["state"]`` and a previous one warm-starts via ``init=``.
     """
+    from scipy import sparse
+
     mu = problem.source_weights
     nu = problem.target_weights
     n, m = problem.shape
@@ -1008,7 +1007,7 @@ def _solve_screened(problem: OTProblem, *, epsilon: float = 1e-2,
         cost[rows, cols], rows, cols, (n, m), mu, nu,
         engine=restricted_engine, init=state, sparse_output=True,
         monotone_certified=_banded_certifiable(problem))
-    if sparse.issparse(matrix) and not is_sparse_enough(matrix):
+    if _issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     extras = {"epsilon": epsilon, "k": int(k),
               "restricted_engine": engine_used,
@@ -1123,7 +1122,7 @@ def _screened_band(problem: OTProblem, *, k: int, epsilon: float,
         cost_values, rows, cols, (n, m), mu, nu,
         engine=restricted_engine, sparse_output=True,
         monotone_certified=_banded_certifiable(problem))
-    if sparse.issparse(matrix) and not is_sparse_enough(matrix):
+    if _issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
     extras = {"epsilon": epsilon, "k": int(k),
               "restricted_engine": engine_used,
@@ -1296,6 +1295,8 @@ def _restricted_banded_entries(cost_values: np.ndarray, rows: np.ndarray,
     entry_costs = cost_values[starts[brows] + (bcols - lower[brows])]
     value = float(np.dot(masses, entry_costs))
     if sparse_output:
+        from scipy import sparse
+
         matrix = sparse.csr_array((masses, (brows, bcols)), shape=(n, m))
         matrix.eliminate_zeros()
     else:
@@ -1359,6 +1360,8 @@ def _restricted_exact_entries(cost_values: np.ndarray, rows: np.ndarray,
                                    init=init)
     n, m = shape
     if sparse_output:
+        from scipy import sparse
+
         matrix = sparse.csr_array((outcome.flows, (rows, cols)),
                                   shape=(n, m))
         matrix.eliminate_zeros()
@@ -1399,6 +1402,8 @@ def _restricted_lp_entries(cost_values: np.ndarray, rows: np.ndarray,
     ``(n, m)`` cost matrix.  Returns ``(matrix, n_iter, value)`` where
     ``value`` is the LP objective of the returned plan.
     """
+    from scipy import sparse
+
     nnz = rows.size
     data = np.ones(nnz)
     variable_ids = np.arange(nnz)

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import socket
 import threading
 import time
@@ -259,10 +260,14 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
     children = [context.Process(target=_worker_loop, args=(sock, plan_path),
                                 kwargs=options, daemon=False)
                 for _ in range(workers)]
-    for child in children:
-        child.start()
-    sock.close()  # workers hold their inherited copies
+    # SIGTERM takes Ctrl-C's path, in the parent and in the workers that
+    # inherit the handler, so the parent reaps its workers before it
+    # exits instead of leaving them serving.
+    previous = signal.signal(signal.SIGTERM, _interrupt)
     try:
+        for child in children:
+            child.start()
+        sock.close()  # workers hold their inherited copies
         for child in children:
             child.join()
     except KeyboardInterrupt:
@@ -272,7 +277,13 @@ def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
             if child.is_alive():
                 child.terminate()
         for child in children:
-            child.join()
+            if child.pid is not None:
+                child.join()
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _interrupt(signum, frame) -> None:
+    raise KeyboardInterrupt
 
 
 class BackgroundServer:

@@ -242,6 +242,35 @@ class TestErrors:
                 mapped.feature_plans[cell]
 
     @pytest.mark.parametrize("mmap", [False, True])
+    @pytest.mark.parametrize("member,corrupt,match", [
+        ("indices", lambda a: a.__setitem__(3, 10_000), "column indices"),
+        ("indices", lambda a: a.__setitem__(3, -5), "column indices"),
+        ("indptr", lambda a: a.__setitem__([5, 6], a[[6, 5]]), "indptr"),
+    ], ids=["index-past-grid", "negative-index", "swapped-indptr"])
+    def test_corrupt_csr_triplet_rejected(self, paper_split, tmp_path,
+                                          mmap, member, corrupt, match):
+        # scipy's constructor checks a triplet in O(1) only, so these
+        # archives used to load and then repair wrongly (a negative
+        # index draws from the end of the grid) or crash mid-repair.
+        written = save_plan(design_repair(paper_split.research, 50),
+                            tmp_path / "plan.npz")
+        with np.load(written) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        key = f"cell_0_0_plan_0_{member}"
+        arrays[key] = arrays[key].copy()
+        corrupt(arrays[key])
+        np.savez(written, **arrays)
+        if not mmap:
+            with pytest.raises(DataError, match=match):
+                load_plan(written)
+            return
+        mapped = load_plan(written, mmap=True)
+        for _ in range(2):
+            with pytest.raises(DataError, match=match):
+                mapped.feature_plans[(0, 0)]
+        mapped.feature_plans[(0, 1)]  # the other cells still load
+
+    @pytest.mark.parametrize("mmap", [False, True])
     @pytest.mark.parametrize("content", [b"", b"garbage"],
                              ids=["empty", "garbage"])
     def test_non_zip_file_rejected(self, tmp_path, content, mmap):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -342,3 +344,129 @@ class TestHelpers:
     def test_is_coupling_false_on_marginal_violation(self, simple_plan):
         assert not is_coupling(simple_plan.matrix, np.array([0.5, 0.5]),
                                np.array([0.2, 0.8]))
+
+
+def _scipy_conditionals(plan):
+    """The CSR conditional rows as scipy computed them: normalised rows,
+    and for zero-mass rows ``eliminate_zeros`` plus a point-mass sum."""
+    matrix = plan.matrix
+    counts = np.diff(matrix.indptr)
+    totals = np.asarray(matrix.sum(axis=1)).ravel()
+    zero = totals <= 1e-300
+    data = matrix.data / np.repeat(np.where(zero, 1.0, totals), counts)
+    if not zero.any():
+        return sparse.csr_array((data, matrix.indices, matrix.indptr),
+                                shape=matrix.shape)
+    rows = np.flatnonzero(zero)
+    row_of = np.repeat(np.arange(matrix.shape[0]), counts)
+    base = sparse.csr_array(
+        (np.where(zero[row_of], 0.0, data), matrix.indices, matrix.indptr),
+        shape=matrix.shape, copy=True)
+    base.eliminate_zeros()
+    point = sparse.csr_array(
+        (np.ones(rows.size), (rows, plan._nearest_targets(rows))),
+        shape=matrix.shape)
+    return (base + point).tocsr()
+
+
+def _nearest_in_one_block(plan, rows):
+    diffs = (plan.source_support[rows][:, None, :]
+             - plan.target_support[None, :, :])
+    return np.linalg.norm(diffs, axis=2).argmin(axis=1)
+
+
+def _same(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestTripletStorage:
+    """A CSR plan stores its (data, indices, indptr) triplet; the scipy
+    array is a view built on first read of ``.matrix``."""
+
+    def test_matrix_view_shares_the_triplet(self, banded_matrix):
+        nodes = np.linspace(0.0, 1.0, banded_matrix.shape[0])
+        data, indices, indptr = (
+            TransportPlan(banded_matrix, nodes, nodes).to_sparse()._csr)
+        plan = TransportPlan.from_sparse((data, indices, indptr), nodes,
+                                         nodes, shape=banded_matrix.shape)
+        assert plan._matrix is None  # not built by the constructor
+        plan.conditional_sampler()
+        assert plan.source_weights.shape == (30,) and plan.nnz == data.size
+        assert plan._matrix is None  # nor by sampling or marginals
+        view = plan.matrix
+        assert view is plan.matrix and isinstance(view, sparse.csr_array)
+        for got, stored in zip((view.data, view.indices, view.indptr),
+                               plan._csr):
+            assert got is stored
+
+    def test_row_sums_bitwise_equal_scipys(self, rng):
+        for _ in range(200):
+            n, m = rng.integers(1, 40, size=2)
+            dense = rng.random((n, m)) * (rng.random((n, m)) < rng.random())
+            matrix = sparse.csr_array(dense)
+            plan = TransportPlan(matrix, np.arange(n), np.arange(m))
+            assert _same(plan.source_weights,
+                         np.asarray(matrix.sum(axis=1)).ravel())
+
+    def test_zero_mass_rows_give_scipys_entries_in_order(self, rng):
+        for _ in range(100):
+            n, m = rng.integers(2, 30, size=2)
+            dense = rng.random((n, m)) * (rng.random((n, m)) < 0.4)
+            dense[rng.random(n) < 0.3] = 0.0
+            matrix = sparse.csr_array(dense)
+            # Explicitly stored zeros: the fallback drops them too.
+            matrix.data[rng.random(matrix.nnz) < 0.2] = 0.0
+            support = rng.integers(0, 5, size=max(n, m)).astype(float)
+            plan = TransportPlan(matrix, support[:n], support[:m])
+            got = plan.conditional_matrix()
+            want = _scipy_conditionals(plan)
+            for name in ("data", "indices", "indptr"):
+                assert _same(getattr(got, name), getattr(want, name))
+            sampler = plan.conditional_sampler()
+            assert _same(sampler.indices, want.indices)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_nearest_targets_in_blocks_equal_one_block(self, rng, d):
+        # Integer supports put ties everywhere; argmin keeps the first.
+        m = 20_000 // d
+        source = rng.integers(0, 50, size=(300, d)).astype(float)
+        target = rng.integers(0, 50, size=(m, d)).astype(float)
+        plan = TransportPlan(sparse.csr_array((300, m)), source, target)
+        rows = rng.permutation(300)[:250]
+        np.testing.assert_array_equal(plan._nearest_targets(rows),
+                                      _nearest_in_one_block(plan, rows))
+
+    def test_zero_mass_fallback_memory_is_bounded(self):
+        # 200 zero-mass rows on a 20 000-state grid used to build one
+        # (200, 20 000, 1) difference array and its squares: ~96 MB.
+        n = 20_000
+        data = np.full(n, 1.0 / (n - 200))
+        data[::100] = 0.0
+        plan = TransportPlan.from_sparse(
+            (data, np.arange(n), np.arange(n + 1)), np.arange(float(n)),
+            np.arange(float(n)), shape=(n, n))
+        tracemalloc.start()
+        try:
+            plan.conditional_sampler()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
+    @pytest.mark.parametrize("triplet,match", [
+        ((np.ones(2), np.array([0, 5]), np.array([0, 1, 2])), "indices"),
+        ((np.ones(2), np.array([0, -1]), np.array([0, 1, 2])), "indices"),
+        ((np.ones(2), np.array([0, 1]), np.array([0, 2, 1])), "indptr"),
+        ((np.ones(2), np.array([0, 1]), np.array([0, 1])), "indptr"),
+        ((np.ones(2), np.array([0.0, 1.0]), np.array([0, 1, 2])),
+         "integers"),
+        ((np.ones((2, 1)), np.array([0, 1]), np.array([0, 1, 2])), "1-D"),
+    ], ids=["past-grid", "negative", "decreasing", "short", "float", "2-D"])
+    def test_from_sparse_checks_the_triplet(self, triplet, match):
+        with pytest.raises(ValidationError, match=match):
+            TransportPlan.from_sparse(triplet, [0.0, 1.0], [0.0, 1.0],
+                                      shape=(2, 2))
+
+    def test_plans_are_immutable(self, simple_plan):
+        with pytest.raises(AttributeError):
+            simple_plan.cost = 1.0

@@ -4,17 +4,23 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import select
+import signal
 import socket
 import statistics
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.design import design_repair
 from repro.core.repair import repair_dataset
+from repro.core.serialize import save_plan
 from repro.data.dataset import FairnessDataset
 from repro.exceptions import DataError
 from repro.serve import BackgroundServer, RepairHTTPServer, RepairService
@@ -282,3 +288,47 @@ class TestBatching:
         assert stats["batcher"]["items"] == n_clients
         assert stats["batcher"]["flushes"] == 2
         assert stats["batcher"]["max_batch_seen"] == n_clients - 1
+
+
+def _alive(pid: str) -> bool:
+    """True while ``pid`` runs (a zombie has stopped serving)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def test_sigterm_stops_the_forked_workers(designed, tmp_path):
+    # SIGTERM used to kill only the parent of `repro serve --workers N`,
+    # leaving its workers serving as orphans.
+    plan, _ = designed
+    path = save_plan(plan, tmp_path / "plan.npz")
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    parent = subprocess.Popen(
+        [sys.executable, "-u", "-m", "repro", "serve", "--plan", str(path),
+         "--port", "0", "--workers", "2"],
+        stdout=subprocess.PIPE, env=env, text=True)
+    try:
+        assert "http://" in parent.stdout.readline()
+        children = Path(f"/proc/{parent.pid}/task/{parent.pid}/children")
+        if not children.exists():
+            pytest.skip("needs /proc/<pid>/task/<pid>/children")
+        deadline = time.monotonic() + 10
+        workers = children.read_text().split()
+        while len(workers) < 2 and time.monotonic() < deadline:
+            time.sleep(0.05)
+            workers = children.read_text().split()
+        assert len(workers) == 2
+        parent.send_signal(signal.SIGTERM)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, workers))
+    finally:
+        if parent.poll() is None:
+            parent.kill()
+            parent.wait()
+        parent.stdout.close()

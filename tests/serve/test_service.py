@@ -169,6 +169,35 @@ class TestFromPath:
         stats = service.stats()
         assert (stats["requests"], stats["errors"]) == (4, 2)
 
+    def test_corrupt_csr_cell_fails_only_its_requests(self, designed,
+                                                      tmp_path):
+        # A column index past the grid used to pass the load and the
+        # cell build, then raise IndexError inside the merged dispatch
+        # and fail every request in it.  The cell is now a DataError
+        # when first built, before any request's randomness is drawn.
+        plan, queries = designed
+        path = save_plan(plan, tmp_path / "plan.npz")
+        bad_u = plan.u_values[0]
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files}
+        key = f"cell_{bad_u}_0_plan_0_indices"
+        arrays[key] = arrays[key].copy()
+        arrays[key][-1] = 10_000
+        np.savez(path, **arrays)
+        service = RepairService.from_path(path, mmap=True)
+        touched = (queries.u == bad_u) & (queries.s == 0)
+        bad = queries.take(np.flatnonzero(touched))
+        good = queries.take(np.flatnonzero(queries.u != bad_u))
+        results = service.repair_many([
+            RepairRequest(bad, np.random.default_rng(0)),
+            RepairRequest(good, np.random.default_rng(1))])
+        assert isinstance(results[0], DataError)
+        assert "column indices" in str(results[0])
+        offline = repair_dataset(good, plan,
+                                 rng=np.random.default_rng(1)).features
+        np.testing.assert_array_equal(results[1].view(np.uint64),
+                                      offline.view(np.uint64))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             RepairService.from_path(tmp_path / "nope.npz")

@@ -2,16 +2,22 @@
 
 Algorithm 2 runs in short-lived processes (one ``repro repair`` per
 archive slice, each ``repro serve`` worker), where start-up is mostly
-import time.  So the path design -> save -> mmap load -> repair, and the
-CLI, load only numpy, ``scipy.sparse`` and the stdlib: the LP oracle's
-``scipy.optimize`` and the Sinkhorn solvers' ``scipy.special`` are
-imported inside the functions that use them, and ``repro.core`` never
-imports ``repro.serve`` (and with it ``http.server`` and ``urllib``).
+import time.  So replaying a stored plan loads only numpy and the
+stdlib: ``load_plan`` (both modes), ``repair_dataset``,
+``RepairService``, ``repro repair`` and ``repro --help`` import neither
+scipy nor the design stack (``repro.core.design``).  A CSR plan keeps
+its own ``(data, indices, indptr)`` triplet and builds its scipy view
+only when ``.matrix`` is read, every module imports ``scipy.sparse``
+inside the functions that use it, ``repro`` and ``repro.core`` resolve
+their exports on first use, and ``repro.core`` never imports
+``repro.serve`` (and with it ``http.server`` and ``urllib``).  The
+design path may import scipy, but not the LP oracle's
+``scipy.optimize`` or the Sinkhorn solvers' ``scipy.special``.
 
 Each case runs in a fresh interpreter and reports what it added to
-``sys.modules`` beyond a floor taken after ``import numpy,
-scipy.sparse`` — the floor keeps the check valid on scipy versions
-whose ``scipy.sparse`` imports more.
+``sys.modules`` beyond a floor import: ``import numpy`` for the replay
+case, ``import numpy, scipy.sparse`` for the others, which keeps them
+valid on scipy versions whose ``scipy.sparse`` imports more.
 """
 
 from __future__ import annotations
@@ -33,17 +39,17 @@ FORBIDDEN = SCIPY_FORBIDDEN + ("http.server", "urllib.request", "ssl",
                                "repro.serve")
 
 
-def _run(body: str, tmp_path) -> dict:
-    """Run ``body`` after the floor import in a fresh interpreter.
+def _run(body: str, tmp_path, floor: str = "numpy, scipy.sparse") -> dict:
+    """Run ``body`` after ``import {floor}`` in a fresh interpreter.
 
     ``body`` may fill the dict ``out``; the result is ``out`` plus
     ``"added"``, the modules imported beyond the floor.
     """
-    script = textwrap.dedent("""
+    script = textwrap.dedent(f"""
         import json, sys
-        import numpy, scipy.sparse
+        import {floor}
         floor = set(sys.modules)
-        out = {}
+        out = {{}}
     """) + textwrap.dedent(body) + textwrap.dedent("""
         out["added"] = sorted(set(sys.modules) - floor)
         print(json.dumps(out))
@@ -146,3 +152,62 @@ def test_solvers_still_import_what_they_use(tmp_path):
                 0.17365472556092293, 0.047993348945712264]
     assert max(abs(a - b) for a, b in zip(report["barycenter"],
                                           expected)) < 1e-12
+
+
+def test_replay_imports_no_scipy(tmp_path):
+    # The archive is designed in another interpreter, as in deployment.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    design = textwrap.dedent("""
+        from repro import design_repair, save_plan, simulate_paper_data
+        from repro.cli import write_csv_dataset
+
+        split = simulate_paper_data(n_research=300, n_archive=400, rng=0)
+        save_plan(design_repair(split.research, 30), "plan.npz")
+        write_csv_dataset(split.archive, "archive.csv")
+    """)
+    subprocess.run([sys.executable, "-c", design], cwd=tmp_path, env=env,
+                   check=True, timeout=300)
+    report = _run("""
+        import contextlib, io
+        import numpy as np
+        from repro.cli import main, read_csv_dataset
+        from repro.core.repair import repair_dataset
+        from repro.core.serialize import load_plan
+        from repro.serve.service import RepairRequest, RepairService
+
+        archive = read_csv_dataset("archive.csv")
+        rows = []
+        for mmap in (True, False):
+            plan = load_plan("plan.npz", mmap=mmap)
+            rows.append(len(repair_dataset(archive, plan, rng=1)))
+        service = RepairService.from_path("plan.npz")
+        request = RepairRequest(archive, np.random.default_rng(3))
+        rows.append(len(service.repair_many([request])[0]))
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            out["repair"] = main(["repair", "plan.npz", "archive.csv",
+                                  "repaired.csv", "--seed", "3"])
+            try:
+                main(["--help"])
+            except SystemExit as exc:
+                out["help"] = exc.code
+        out["rows"] = rows
+    """, tmp_path, floor="numpy")
+    assert report["rows"] == [400, 400, 400]
+    assert (report["repair"], report["help"]) == (0, 0)
+    loaded = [name for name in report["added"]
+              if name == "scipy" or name.startswith("scipy.")]
+    assert loaded == []
+    assert "repro.core.design" not in report["added"]
+
+
+def test_lazy_exports_resolve_to_their_submodules_objects():
+    import repro
+    import repro.core
+    from repro.core import design  # a submodule, not an export
+
+    assert repro.design_repair is repro.core.design_repair
+    assert repro.core.design_repair is design.design_repair
+    for package in (repro, repro.core):
+        assert set(package.__all__) <= set(dir(package))
+        assert all(hasattr(package, name) for name in package.__all__)
+        assert not hasattr(package, "no_such_export")
