@@ -183,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8321)
     serve.add_argument("--workers", type=int, default=1,
                        help="worker processes sharing one listening "
-                            "socket; each memory-maps the same plan")
+                            "socket and the plan, which is loaded "
+                            "(memory-mapped) before they start")
     serve.add_argument("--no-mmap", action="store_true",
                        help="read the plan eagerly instead of "
                             "memory-mapping it (compressed archives "
@@ -192,9 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("stochastic", "nearest"))
     serve.add_argument("--output", default="sample",
                        choices=("sample", "barycentric", "interpolated"))
-    serve.add_argument("--cache-size", type=int, default=256,
-                       help="bound on hot per-(u,s,k) repair kernels "
-                            "kept in the LRU cache")
     serve.add_argument("--max-batch", type=int, default=32,
                        help="cap on the requests one merged dispatch "
                             "carries; requests are merged only when "
@@ -323,7 +321,7 @@ def _run_serve(args) -> int:
     run_server(args.plan, host=args.host, port=args.port,
                workers=args.workers, mmap=not args.no_mmap,
                rounding=args.rounding, output=args.output,
-               cache_size=args.cache_size, max_batch=args.max_batch)
+               max_batch=args.max_batch)
     return 0
 
 

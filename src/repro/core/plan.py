@@ -27,16 +27,8 @@ import numpy as np
 from ..density.grid import InterpolationGrid
 from ..exceptions import ValidationError
 from ..ot.coupling import TransportPlan
-from .cache import LRUCache
 
 __all__ = ["FeaturePlan", "RepairPlan"]
-
-#: Bound on the per-:class:`FeaturePlan` memo of inspection CDF tables
-#: (:meth:`FeaturePlan.conditional_cdfs`).  Each entry is an ``O(n_Q²)``
-#: float array, so the memo keeps only the handful of protected classes
-#: an inspection loop actually touches and evicts least-recently-used
-#: beyond that.
-_CDF_CACHE_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,9 @@ class FeaturePlan:
         if not isinstance(self.diagnostics, dict):
             raise ValidationError("diagnostics must be a dict")
         object.__setattr__(self, "barycenter", bary)
-        object.__setattr__(self, "_cdf_cache", LRUCache(_CDF_CACHE_SIZE))
+        # Inspection CDF tables, one per protected class s, which
+        # conditional_cdfs builds on first use and keeps here.
+        object.__setattr__(self, "_cdfs", {})
         # Algorithm-2 kernels, one per (s, rounding, output), which
         # repro.core.repair builds on first use and keeps here.
         object.__setattr__(self, "_kernels", {})
@@ -105,22 +99,20 @@ class FeaturePlan:
 
         Row ``q`` is the cumulative distribution of the repaired state
         given source state ``q``.  The table is built on demand and
-        memoised in a small LRU (capacity ``_CDF_CACHE_SIZE``), so
-        repeated queries reuse it while a large design's tables cannot
-        pile up in memory; callers must treat it as read-only.  Sampling
-        never reads it: :meth:`sample_targets` and the Algorithm-2
-        kernels draw through the transport's
+        memoised per ``s`` (a plan holds one transport per protected
+        class), so repeated queries reuse it; callers must treat it as
+        read-only.  Sampling never reads it: :meth:`sample_targets` and
+        the Algorithm-2 kernels draw through the transport's
         :class:`~repro.ot.coupling.CSRSampler`.
         """
-        transport = self._transport(s)
-
-        def build() -> np.ndarray:
+        cdfs = self._cdfs.get(s)
+        if cdfs is None:
+            transport = self._transport(s)
             conditionals = transport.conditional_matrix()
             if transport.is_sparse:
                 conditionals = conditionals.toarray()
-            return np.cumsum(conditionals, axis=1)
-
-        return self._cdf_cache.get_or_create(("cdf", s), build)
+            cdfs = self._cdfs[s] = np.cumsum(conditionals, axis=1)
+        return cdfs
 
     def sample_targets(self, s: int, rows, uniforms) -> np.ndarray:
         """Repaired grid state per ``(source row, uniform draw)`` pair —

@@ -16,12 +16,14 @@ expected ``O(1)`` per point after an ``O(n_Q)`` per-plan precomputation
 hence "torrent-ready".
 
 One kernel does the work everywhere: :class:`PreparedFeatureRepair`,
-one per ``(u, s, k)`` cell and rounding/output mode.  ``repro serve``
-keeps its kernels in a bounded cache; :func:`repair_dataset` (and so
-:meth:`DistributionalRepairer.transform_stream`) and
-:func:`repair_feature_values` build each on first use and keep it on
-its :class:`~repro.core.plan.FeaturePlan`, so a stream of batches
-builds every table once.  Steps 1 and 3 avoid per-value binary
+one per ``(u, s, k)`` cell and rounding/output mode, built on first use
+and kept on its :class:`~repro.core.plan.FeaturePlan`, so a stream of
+batches builds every table once.  One loop applies the kernels:
+:func:`_repair_requests` repairs a list of ``(dataset, generator)``
+requests, and :func:`repair_dataset` (and so
+:meth:`DistributionalRepairer.transform_stream`) runs it on one request
+while ``repro serve`` runs it on a micro-batch, so served and offline
+repairs are the same operations.  Steps 1 and 3 avoid per-value binary
 searches: the cell is guessed from the grid's mean spacing and
 corrected by one step, and the draw reads the entry of its uniform's
 bin from a one-byte guide table per row of the transport's
@@ -45,7 +47,7 @@ from .._validation import as_rng
 from ..data.dataset import FairnessDataset
 from ..data.streaming import ArchiveStream
 from ..density.grid import locate_cells
-from ..exceptions import NotFittedError, ValidationError
+from ..exceptions import NotFittedError, ReproError, ValidationError
 from ..ot.registry import resolve_solver
 from .plan import FeaturePlan, RepairPlan
 
@@ -124,12 +126,12 @@ class PreparedFeatureRepair:
     ``O(nnz)`` state kept with the transport and shared by every kernel
     and caller that samples it, whatever the transport's storage.
 
-    :func:`repair_feature_values` and :func:`repair_dataset` run these
-    kernels too, so served and offline repairs are the same operations
+    :func:`repair_feature_values` and :func:`_repair_requests` run these
+    kernels, so served and offline repairs are the same operations
     with the same random-stream consumption.  Randomness is split out
-    so a micro-batcher can draw each request's variates from its own
+    so a batch of requests can draw each request's variates from its own
     generator (in the exact order the one-request path would) and still
-    apply the deterministic part to many requests' values in one
+    apply the deterministic part to all their values in one
     vectorised dispatch:
 
     * :meth:`draw` consumes from a generator exactly what
@@ -228,31 +230,126 @@ def prepare_feature_repair(feature_plan: FeaturePlan, s: int, *,
 
 
 def _kernel(feature_plan: FeaturePlan, s: int, rounding: str,
-            output: str) -> PreparedFeatureRepair:
+            output: str, counts: dict | None = None) -> PreparedFeatureRepair:
     """The cell's kernel for these modes, built on first use and kept
-    on its feature plan."""
+    on its feature plan.  ``counts`` tallies the lookup under
+    ``"hits"``, or under ``"misses"`` when it built the kernel."""
     kernels = feature_plan._kernels
     key = (s, rounding, output)
     kernel = kernels.get(key)
+    outcome = "hits"
     if kernel is None:
         kernel = kernels[key] = PreparedFeatureRepair(
             feature_plan, s, rounding=rounding, output=output)
+        outcome = "misses"
+    if counts is not None:
+        counts[outcome] += 1
     return kernel
 
 
-def _subgroup_rows(dataset: FairnessDataset, u_values):
-    """``(u, s, rows)`` for each non-empty ``(u, s)`` subgroup in
+def _request_cells(dataset: FairnessDataset, plan: RepairPlan,
+                   rounding: str, output: str, counts: dict) -> list:
+    """Check one request against the plan, before any of its randomness
+    is drawn, and return its ``((u, s), rows, kernels)`` subgroups in
     Algorithm 2's order — ``u`` ascending, then ``s = 0, 1`` — with
-    ``rows`` the subgroup's ascending row indices.  The serving path
-    walks the same order, so it consumes each request's random stream
-    exactly as this module does."""
+    ``rows`` the subgroup's ascending row indices and one kernel per
+    feature.  Raises the :class:`ReproError` the request fails with."""
+    if dataset.n_features != plan.n_features:
+        raise ValidationError(
+            f"dataset has {dataset.n_features} features, plan was designed "
+            f"for {plan.n_features}")
+    u_values = dataset.u_values
+    missing = [int(u) for u in u_values if not plan.covers(int(u))]
+    if missing:
+        raise ValidationError(
+            f"plan has no design for groups u={missing}; re-run Algorithm 1 "
+            "on research data covering them")
+    # Checked on every request: the data set was validated when it was
+    # built, but its arrays (or the archive a batch views) stay
+    # writable, and the kernels take what they are given.
+    if not np.isfinite(dataset.features).all():
+        raise ValidationError("values contain non-finite entries")
+    cells = []
     in_class = ((0, dataset.s == 0), (1, dataset.s == 1))
     for u in u_values:
+        u = int(u)
         in_u = dataset.u == u
         for s, in_s in in_class:
+            # Row indices, not boolean masks: gathering and scattering
+            # a subgroup's column through an index array is ~6x cheaper.
             rows = np.flatnonzero(in_u & in_s)
             if rows.size:
-                yield int(u), s, rows
+                # Built here, so a cell that cannot be built (a missing
+                # transport, a corrupt mapped cell) fails only the
+                # requests that need it.
+                kernels = [_kernel(plan.feature_plan(u, k), s, rounding,
+                                   output, counts)
+                           for k in range(plan.n_features)]
+                cells.append(((u, s), rows, kernels))
+    return cells
+
+
+def _repair_requests(plan: RepairPlan, requests, rounding: str,
+                     output: str) -> tuple:
+    """Algorithm 2 over a batch of ``(dataset, generator)`` requests.
+
+    Returns ``(results, counts)``.  ``results[i]`` is request ``i``'s
+    repaired feature matrix, or the :class:`ReproError` it failed
+    validation with.  ``counts`` tallies the kernel lookups (``hits``,
+    and ``misses`` that built a kernel), the ``cell_dispatches`` (one
+    per ``(u, s, k)`` cell applied) and the ``cell_items`` (requests
+    carried, summed over dispatches).
+
+    Every request is validated, kernels included, before any
+    randomness is drawn.  The good requests' ``(u, s)`` subgroups are
+    then walked in Algorithm 2's order, and the features ``k`` of each
+    in ascending order.  At each cell every member request draws its
+    variates from its own generator, in request order, and the cell's
+    kernel is applied once to the concatenation.  Each request meets
+    its own cells in that global order, so a request whose generator
+    no other request of the batch shares consumes it exactly as a lone
+    :func:`repair_dataset` call does, and its result is bitwise the
+    same.  A cell with one member applies the kernel to that member's
+    values alone, with no concatenation.
+    """
+    counts = dict.fromkeys(("hits", "misses", "cell_dispatches",
+                            "cell_items"), 0)
+    results: list = [None] * len(requests)
+    members: dict = {}
+    for i, (dataset, _) in enumerate(requests):
+        try:
+            cells = _request_cells(dataset, plan, rounding, output, counts)
+        except ReproError as exc:
+            results[i] = exc
+            continue
+        results[i] = dataset.features.copy()
+        for cell, rows, kernels in cells:
+            members.setdefault(cell, (kernels, []))[1].append((i, rows))
+    for cell in sorted(members):
+        kernels, rows_of = members[cell]
+        counts["cell_dispatches"] += len(kernels)
+        counts["cell_items"] += len(kernels) * len(rows_of)
+        if len(rows_of) == 1:
+            ((i, rows),) = rows_of
+            features, generator = requests[i][0].features, requests[i][1]
+            for k, kernel in enumerate(kernels):
+                results[i][rows, k] = kernel(features[rows, k], generator)
+            continue
+        for k, kernel in enumerate(kernels):
+            values, variates = [], []
+            for i, rows in rows_of:
+                dataset, generator = requests[i]
+                values.append(dataset.features[rows, k])
+                variates.append(kernel.draw(generator, rows.size))
+            repaired = kernel.apply(np.concatenate(values), tuple(
+                None if part[0] is None else np.concatenate(part)
+                for part in zip(*variates)))
+            position = 0
+            for (i, rows), segment in zip(rows_of, values):
+                results[i][rows, k] = \
+                    repaired[position:position + segment.size]
+                position += segment.size
+    return results, counts
 
 
 def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
@@ -265,31 +362,10 @@ def repair_dataset(dataset: FairnessDataset, plan: RepairPlan, *,
     The repaired data set shares the input's labels and schema.
     """
     _check_modes(rounding, output)
-    if dataset.n_features != plan.n_features:
-        raise ValidationError(
-            f"dataset has {dataset.n_features} features, plan was designed "
-            f"for {plan.n_features}")
-    u_values = dataset.u_values
-    missing = [int(u) for u in u_values if not plan.covers(int(u))]
-    if missing:
-        raise ValidationError(
-            f"plan has no design for groups u={missing}; re-run Algorithm 1 "
-            "on research data covering them")
-    features = dataset.features
-    # Checked once per call: the data set was validated when it was
-    # built, but its arrays (or the archive a batch views) stay
-    # writable, and the kernels take what they are given.
-    if not np.isfinite(features).all():
-        raise ValidationError("values contain non-finite entries")
-
-    generator = as_rng(rng)
-    repaired = features.copy()
-    # Row indices, not boolean masks: gathering and scattering a
-    # subgroup's column through an index array is ~6x cheaper.
-    for u, s, rows in _subgroup_rows(dataset, u_values):
-        for k in range(dataset.n_features):
-            kernel = _kernel(plan.feature_plan(u, k), s, rounding, output)
-            repaired[rows, k] = kernel(features[rows, k], generator)
+    (repaired,), _ = _repair_requests(plan, [(dataset, as_rng(rng))],
+                                      rounding, output)
+    if isinstance(repaired, ReproError):
+        raise repaired
     return FairnessDataset._trusted(repaired, dataset.s, dataset.u,
                                     dataset.y, dataset.schema)
 

@@ -17,7 +17,9 @@ On-disk layout (format version 2)
 * ``__header__`` — UTF-8 JSON with ``format_version``, ``n_features``,
   ``t``, ``metadata``, the ``cells`` list of ``[u, k]`` pairs, each
   cell's actual protected-class labels under ``s_values``
-  (``"u_k" -> [s, ...]``), and optional per-cell solver ``diagnostics``.
+  (``"u_k" -> [s, ...]``), and optional per-cell solver ``diagnostics``;
+  run timings (solver wall times) are left out, so two designs of the
+  same inputs save byte-identical archives.
 * per cell ``(u, k)``: ``cell_{u}_{k}_nodes`` and
   ``cell_{u}_{k}_barycenter``; per protected class ``s``:
   ``cell_{u}_{k}_marginal_{s}``, ``cell_{u}_{k}_cost_{s}``, and the plan
@@ -116,6 +118,12 @@ INDEX_DTYPES = ("int32", "int64")
 #: Header ID of the zip extra field that pads a member's local header
 #: (the ID Android's zipalign uses; zip readers skip unknown fields).
 _ALIGNMENT_FIELD = 0xD935
+
+#: Run timings the header leaves out (each cell's solver ``wall_time``
+#: and the design's ``ot_wall_time``): two designs of the same inputs
+#: differ only in them, so writing them would give equal plans unequal
+#: archives.  In-memory plans keep them.
+_RUN_TIMINGS = frozenset({"wall_time", "ot_wall_time"})
 
 
 def save_plan(plan: RepairPlan, path, *, compress: bool = False,
@@ -549,9 +557,12 @@ def _int_label(s) -> int:
 
 
 def _jsonable(metadata: dict) -> dict:
-    """Best-effort conversion of metadata values to JSON-safe types."""
+    """Best-effort conversion of metadata values to JSON-safe types,
+    leaving out the :data:`_RUN_TIMINGS`."""
     out = {}
     for key, value in metadata.items():
+        if key in _RUN_TIMINGS:
+            continue
         if isinstance(value, dict):
             out[str(key)] = {str(k): _scalar(v) for k, v in value.items()}
         else:

@@ -470,7 +470,7 @@ def _refine_level(problem: OTProblem, coarse_result: OTResult,
     cost_values = _arc_cost_entries(problem, rows, cols)
     matrix, nit, value, state, engine_used = _restricted_exact_entries(
         cost_values, rows, cols, (n, m), mu, nu,
-        engine=engine, init=init, sparse_output=True,
+        engine=engine, init=init,
         monotone_certified=_banded_certifiable(problem))
     if not is_sparse_enough(matrix):
         matrix = matrix.toarray()

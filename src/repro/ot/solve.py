@@ -1005,7 +1005,7 @@ def _solve_screened(problem: OTProblem, *, epsilon: float = 1e-2,
     # enough for the plan to exceed the density threshold stay dense.
     matrix, nit, value, state, engine_used = _restricted_exact_entries(
         cost[rows, cols], rows, cols, (n, m), mu, nu,
-        engine=restricted_engine, init=state, sparse_output=True,
+        engine=restricted_engine, init=state,
         monotone_certified=_banded_certifiable(problem))
     if _issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
@@ -1120,7 +1120,7 @@ def _screened_band(problem: OTProblem, *, k: int, epsilon: float,
     cost_values = _arc_cost_entries(problem, rows, cols)
     matrix, nit, value, state, engine_used = _restricted_exact_entries(
         cost_values, rows, cols, (n, m), mu, nu,
-        engine=restricted_engine, sparse_output=True,
+        engine=restricted_engine,
         monotone_certified=_banded_certifiable(problem))
     if _issparse(matrix) and not is_sparse_enough(matrix):
         matrix = matrix.toarray()
@@ -1258,8 +1258,7 @@ def _banded_certifiable(problem: OTProblem) -> bool:
 
 def _restricted_banded_entries(cost_values: np.ndarray, rows: np.ndarray,
                                cols: np.ndarray, shape: tuple,
-                               mu: np.ndarray, nu: np.ndarray, *,
-                               sparse_output: bool):
+                               mu: np.ndarray, nu: np.ndarray):
     """The banded fast path of :func:`_restricted_exact_entries`.
 
     Certifies that the arc list is a monotone contiguous band
@@ -1294,14 +1293,10 @@ def _restricted_banded_entries(cost_values: np.ndarray, rows: np.ndarray,
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     entry_costs = cost_values[starts[brows] + (bcols - lower[brows])]
     value = float(np.dot(masses, entry_costs))
-    if sparse_output:
-        from scipy import sparse
+    from scipy import sparse
 
-        matrix = sparse.csr_array((masses, (brows, bcols)), shape=(n, m))
-        matrix.eliminate_zeros()
-    else:
-        matrix = np.zeros((n, m))
-        np.add.at(matrix, (brows, bcols), masses)
+    matrix = sparse.csr_array((masses, (brows, bcols)), shape=(n, m))
+    matrix.eliminate_zeros()
     return matrix, 1, value
 
 
@@ -1311,7 +1306,6 @@ def _restricted_exact_entries(cost_values: np.ndarray, rows: np.ndarray,
                               engine: str = "network_simplex",
                               init: NetworkSimplexState | None = None,
                               presolve_retry: bool = True,
-                              sparse_output: bool = False,
                               monotone_certified: bool = False):
     """Exact solve over an explicit arc list, dispatched by engine.
 
@@ -1330,9 +1324,11 @@ def _restricted_exact_entries(cost_values: np.ndarray, rows: np.ndarray,
     to the network simplex otherwise; ``engine="auto"`` picks
     ``"banded"`` exactly when ``monotone_certified`` and the simplex
     otherwise.  Returns ``(matrix, n_iter, value, state, engine_used)``
-    where ``state`` is the network-simplex basis for reuse (``None``
-    for the LP and banded paths) and ``engine_used`` names the engine
-    that actually solved (so callers can report banded fallbacks).
+    where ``matrix`` is a CSR array of the solved arcs (zeros
+    eliminated), ``state`` is the network-simplex basis for reuse
+    (``None`` for the LP and banded paths) and ``engine_used`` names the
+    engine that actually solved (so callers can report banded
+    fallbacks).
     """
     if engine not in RESTRICTED_ENGINES:
         raise ValidationError(
@@ -1343,14 +1339,13 @@ def _restricted_exact_entries(cost_values: np.ndarray, rows: np.ndarray,
     if engine == "lp":
         matrix, nit, value = _restricted_lp_entries(
             cost_values, rows, cols, shape, mu, nu,
-            presolve_retry=presolve_retry, sparse_output=sparse_output)
+            presolve_retry=presolve_retry, sparse_output=True)
         return matrix, nit, value, None, "lp"
     if engine == "banded":
         solved = None
         if monotone_certified:
             solved = _restricted_banded_entries(
-                cost_values, rows, cols, shape, mu, nu,
-                sparse_output=sparse_output)
+                cost_values, rows, cols, shape, mu, nu)
         if solved is not None:
             matrix, nit, value = solved
             return matrix, nit, value, None, "banded"
@@ -1358,16 +1353,10 @@ def _restricted_exact_entries(cost_values: np.ndarray, rows: np.ndarray,
         # the band): the simplex prices arbitrary sparse arc lists.
     outcome = network_simplex_arcs(rows, cols, cost_values, mu, nu,
                                    init=init)
-    n, m = shape
-    if sparse_output:
-        from scipy import sparse
+    from scipy import sparse
 
-        matrix = sparse.csr_array((outcome.flows, (rows, cols)),
-                                  shape=(n, m))
-        matrix.eliminate_zeros()
-    else:
-        matrix = np.zeros((n, m))
-        matrix[rows, cols] = outcome.flows
+    matrix = sparse.csr_array((outcome.flows, (rows, cols)), shape=shape)
+    matrix.eliminate_zeros()
     return (matrix, outcome.pivots, outcome.value, outcome.state,
             "network_simplex")
 

@@ -1,13 +1,14 @@
 """The ``repro serve`` HTTP tier: stdlib server, forked workers.
 
-Stack, bottom-up: a listening socket is created **once** by the parent
-(:func:`listening_socket`); ``--workers N`` forks ``N`` processes that
-each run a :class:`ThreadingHTTPServer` *on the inherited socket* (the
-kernel load-balances ``accept`` across them), each worker building its
-own :class:`~repro.serve.service.RepairService` over the same
-memory-mapped plan archive — so the plan bytes are shared through the
-page cache rather than duplicated per worker.  Handler threads funnel
-``POST /repair`` bodies through a
+Stack, bottom-up: the parent creates a listening socket **once**
+(:func:`listening_socket`) and loads the plan into a
+:class:`~repro.serve.service.RepairService`; ``--workers N`` forks
+``N`` processes that each run a :class:`ThreadingHTTPServer` *on the
+inherited socket* (the kernel load-balances ``accept`` across them)
+over the inherited service.  The plan archive is memory-mapped, so its
+bytes are shared through the page cache rather than duplicated per
+worker, and each worker builds the cells it serves.  Handler threads
+funnel ``POST /repair`` bodies through a
 :class:`~repro.serve.batcher.MicroBatcher`: a lone request is
 dispatched at once in its own thread, and requests that queue behind a
 running dispatch share the next one.
@@ -28,7 +29,7 @@ Endpoints
 ``GET /healthz``
     Liveness: ``{"status": "ok", "pid": ..., "uptime_s": ...}``.
 ``GET /stats``
-    This worker's service / cache / batcher counters and request
+    This worker's service / kernel / batcher counters and request
     latency percentiles (per-process — each forked worker accounts for
     the requests the kernel handed it).
 """
@@ -210,13 +211,9 @@ class RepairHTTPServer(ThreadingHTTPServer):
                 "latency": self.latency_percentiles()}
 
 
-def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
-                 rounding: str, output: str, cache_size: int,
+def _worker_loop(sock: socket.socket, service: RepairService,
                  max_batch: int) -> None:
-    """A forked worker: own service + HTTP server on the shared socket."""
-    service = RepairService.from_path(
-        plan_path, mmap=mmap, rounding=rounding, output=output,
-        cache_size=cache_size)
+    """A worker: its HTTP server over ``service`` on the shared socket."""
     server = RepairHTTPServer(service, sock=sock, max_batch=max_batch)
     try:
         server.serve_forever(poll_interval=0.1)
@@ -229,36 +226,43 @@ def _worker_loop(sock: socket.socket, plan_path, *, mmap: bool,
 def serve(plan_path, *, host: str = "127.0.0.1", port: int = 8321,
           workers: int = 1, mmap: bool = True,
           rounding: str = "stochastic", output: str = "sample",
-          cache_size: int = 256, max_batch: int = 32,
-          announce=print) -> None:
+          max_batch: int = 32, announce=print) -> None:
     """Run the repair service until interrupted (the CLI entry point).
 
     ``workers=1`` serves in-process; ``workers>1`` forks that many
-    processes sharing one listening socket, each memory-mapping the
-    same plan archive.
+    processes sharing one listening socket and the service the parent
+    built over the (by default memory-mapped) plan archive.  The plan
+    is loaded and the options checked before the address is announced,
+    so a server that cannot start raises instead.
     """
     from .._validation import check_positive_int
 
     check_positive_int(workers, name="workers")
+    check_positive_int(max_batch, name="max_batch")
     sock = listening_socket(host, port)
+    try:
+        service = RepairService.from_path(plan_path, mmap=mmap,
+                                          rounding=rounding, output=output)
+    except BaseException:
+        sock.close()
+        raise
     bound = sock.getsockname()
-    options = dict(mmap=mmap, rounding=rounding, output=output,
-                   cache_size=cache_size, max_batch=max_batch)
     if announce is not None:
         announce(f"repro serve: http://{bound[0]}:{bound[1]} "
                  f"({workers} worker{'s' if workers != 1 else ''}, "
                  f"plan={plan_path})")
     if workers == 1:
         try:
-            _worker_loop(sock, plan_path, **options)
+            _worker_loop(sock, service, max_batch)
         finally:
-            sock.close()  # also when the plan fails to load
+            sock.close()
         return
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
-    children = [context.Process(target=_worker_loop, args=(sock, plan_path),
-                                kwargs=options, daemon=False)
+    children = [context.Process(target=_worker_loop,
+                                args=(sock, service, max_batch),
+                                daemon=False)
                 for _ in range(workers)]
     # SIGTERM takes Ctrl-C's path, in the parent and in the workers that
     # inherit the handler, so the parent reaps its workers before it

@@ -4,11 +4,11 @@
 serve`` HTTP tier.  It wraps a loaded
 :class:`~repro.core.plan.RepairPlan` — by default one mapped lazily by
 ``load_plan(path, mmap=True)``, so a worker builds only the cells its
-requests touch — and repairs request batches through
-:class:`~repro.core.repair.PreparedFeatureRepair` kernels kept hot in a
-bounded :class:`~repro.core.cache.LRUCache`.  A corrupt cell of a
-mapped archive fails only the requests that touch it, with the cell's
-:class:`~repro.exceptions.DataError`.
+requests touch — and repairs each micro-batch of requests with
+:func:`repro.core.repair._repair_requests`, the Algorithm-2 loop the
+offline :func:`~repro.core.repair.repair_dataset` runs on one request.
+A corrupt cell of a mapped archive fails only the requests that touch
+it, with the cell's :class:`~repro.exceptions.DataError`.
 
 Bit-identity with the offline path is the contract: for any request
 carrying a seed, the response equals
@@ -16,7 +16,7 @@ carrying a seed, the response equals
 whether the request was served alone or merged into a micro-batch.
 The trick is splitting randomness from arithmetic: each request's
 uniform variates are drawn from its own generator in exactly the order
-the offline loop would consume them, and only the deterministic
+a lone call would consume them, and only the deterministic
 element-wise kernel is applied to the concatenation — so a flush of
 ``R`` concurrent requests costs one vectorised dispatch per *distinct*
 ``(u, s, k)`` cell instead of one per request per cell.
@@ -25,15 +25,14 @@ element-wise kernel is applied to the concatenation — so a flush of
 from __future__ import annotations
 
 import threading
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .._validation import as_rng
-from ..core.cache import LRUCache
 from ..core.plan import RepairPlan
-from ..core.repair import (PreparedFeatureRepair, _check_modes,
-                           _subgroup_rows)
+from ..core.repair import _check_modes, _repair_requests
 from ..core.serialize import load_plan
 from ..data.dataset import FairnessDataset
 from ..exceptions import DataError, ReproError, ValidationError
@@ -49,7 +48,9 @@ class RepairRequest:
     :class:`FairnessDataset` *is* the up-front validation — finiteness,
     label domains, alignment — which is what lets the per-cell kernels
     skip re-validating); ``rng`` is the request's private stream, so a
-    seeded request is reproducible regardless of batching.
+    seeded request is reproducible regardless of batching.  Requests
+    merged into one batch must not share a generator: each is consumed
+    cell by cell, interleaved with the others' draws.
     """
 
     dataset: FairnessDataset
@@ -87,6 +88,13 @@ class RepairRequest:
 class RepairService:
     """Long-lived Algorithm-2 engine over a warm plan.
 
+    Requests are repaired by :func:`repro.core.repair._repair_requests`,
+    the loop :func:`~repro.core.repair.repair_dataset` runs, with the
+    kernels every :class:`~repro.core.plan.FeaturePlan` keeps for all
+    its callers.  A kernel holds ``O(n_Q)`` grid arrays and shares its
+    transport's ``O(nnz)`` sampler, so the cells the service has
+    touched bound its memory.
+
     Parameters
     ----------
     plan:
@@ -94,17 +102,10 @@ class RepairService:
     rounding, output:
         The Algorithm-2 randomisation modes every request is served
         with (fixed per service so responses stay comparable).
-    cache_size:
-        Bound on resident :class:`PreparedFeatureRepair` kernels, one
-        per ``(u, s, k)`` cell.  A kernel holds ``O(n_Q)`` grid arrays;
-        its transport's ``O(nnz)`` sampler lives with the plan's cell,
-        dense or CSR, so the cells the service has touched bound it,
-        not this cache.  Eviction is LRU; evicted kernels rebuild on
-        next use.
     """
 
     def __init__(self, plan, *, rounding: str = "stochastic",
-                 output: str = "sample", cache_size: int = 256) -> None:
+                 output: str = "sample") -> None:
         if not isinstance(plan, RepairPlan):
             raise ValidationError(
                 "RepairService expects a RepairPlan, got "
@@ -113,13 +114,8 @@ class RepairService:
         self.plan = plan
         self.rounding = rounding
         self.output = output
-        self.cells = LRUCache(cache_size)
         self._lock = threading.Lock()
-        self.n_requests = 0
-        self.n_errors = 0
-        self.n_rows = 0
-        self.n_cell_dispatches = 0
-        self.n_cell_items = 0
+        self._counts: Counter = Counter()
 
     @classmethod
     def from_path(cls, path, *, mmap: bool = True,
@@ -160,88 +156,29 @@ class RepairService:
         the whole batch; each request's variates come from its own
         generator, consumed in the offline loop's exact order.
         """
-        results: list = [None] * len(requests)
-        outputs: dict = {}
-        work: dict = {}
-        n_rows = 0
-        for i, request in enumerate(requests):
-            dataset = request.dataset
-            try:
-                cells = self._validate(dataset)
-            except ReproError as exc:
-                results[i] = exc
-                continue
-            outputs[i] = dataset.features.copy()
-            n_rows += len(dataset)
-            rng = request.rng
-            # Mirrors repair_dataset's loop nest exactly — including its
-            # random-stream consumption order — so seeded requests match
-            # the offline path bitwise.
-            for u, s, rows, kernels in cells:
-                for k, prepared in enumerate(kernels):
-                    values = dataset.features[rows, k]
-                    variates = prepared.draw(rng, values.size)
-                    work.setdefault((u, k, s), []).append(
-                        (i, rows, k, values, variates))
-        for key, items in work.items():
-            prepared = self._prepared(key)
-            values = np.concatenate([item[3] for item in items])
-            variates = tuple(
-                None if items[0][4][j] is None
-                else np.concatenate([item[4][j] for item in items])
-                for j in range(3))
-            repaired = prepared.apply(values, variates)
-            position = 0
-            for (i, rows, k, segment, _) in items:
-                outputs[i][rows, k] = \
-                    repaired[position:position + segment.size]
-                position += segment.size
-        for i, matrix in outputs.items():
-            results[i] = matrix
+        results, counts = _repair_requests(
+            self.plan, [(request.dataset, request.rng)
+                        for request in requests],
+            self.rounding, self.output)
+        failed = [isinstance(result, Exception) for result in results]
+        counts["requests"] = len(requests)
+        counts["errors"] = sum(failed)
+        counts["rows"] = sum(len(request.dataset) for request, bad
+                             in zip(requests, failed) if not bad)
         with self._lock:
-            self.n_requests += len(requests)
-            self.n_errors += sum(isinstance(r, Exception) for r in results)
-            self.n_rows += n_rows
-            self.n_cell_dispatches += len(work)
-            self.n_cell_items += sum(len(items) for items in work.values())
+            self._counts.update(counts)
         return results
 
-    def _prepared(self, key) -> PreparedFeatureRepair:
-        u, k, s = key
-        return self.cells.get_or_create(
-            key, lambda: PreparedFeatureRepair(
-                self.plan.feature_plan(u, k), s, rounding=self.rounding,
-                output=self.output))
-
-    def _validate(self, dataset: FairnessDataset) -> list:
-        """Check one request against the plan before any of its
-        randomness is drawn, so a request the plan cannot serve fails
-        alone.  Returns its ``(u, s, rows, kernels)`` subgroups in the
-        offline loop's order, with one kernel per feature; a subgroup
-        whose ``(u, s)`` has no designed transport raises here."""
-        if dataset.n_features != self.plan.n_features:
-            raise ValidationError(
-                f"dataset has {dataset.n_features} features, plan was "
-                f"designed for {self.plan.n_features}")
-        u_values = dataset.u_values
-        missing = [int(u) for u in u_values
-                   if not self.plan.covers(int(u))]
-        if missing:
-            raise ValidationError(
-                f"plan has no design for groups u={missing}; re-run "
-                "Algorithm 1 on research data covering them")
-        return [(u, s, rows, [self._prepared((u, k, s))
-                              for k in range(dataset.n_features)])
-                for u, s, rows in _subgroup_rows(dataset, u_values)]
-
     def stats(self) -> dict:
-        """Service counters + cache accounting."""
+        """Service counters, with the kernel lookups under ``cache``
+        (a miss is a lookup that built the kernel)."""
         with self._lock:
-            dispatches = self.n_cell_dispatches
-            merged = (self.n_cell_items / dispatches) if dispatches else 0.0
-            out = {"requests": self.n_requests, "errors": self.n_errors,
-                   "rows": self.n_rows, "cell_dispatches": dispatches,
-                   "cell_items": self.n_cell_items,
-                   "mean_merge": merged}
-        out["cache"] = self.cells.stats()
-        return out
+            counts = self._counts.copy()
+        dispatches = counts["cell_dispatches"]
+        return {"requests": counts["requests"], "errors": counts["errors"],
+                "rows": counts["rows"], "cell_dispatches": dispatches,
+                "cell_items": counts["cell_items"],
+                "mean_merge": (counts["cell_items"] / dispatches
+                               if dispatches else 0.0),
+                "cache": {"hits": counts["hits"],
+                          "misses": counts["misses"]}}

@@ -48,14 +48,13 @@ class TestFeaturePlan:
             np.testing.assert_allclose(sparse.conditional_cdfs(s),
                                        dense.conditional_cdfs(s),
                                        atol=1e-12)
-        # Repeated inspection queries hit one bounded LRU memo, for
+        # Repeated inspection queries reuse one memo entry per s, for
         # either storage, instead of rebuilding the table.
         for plan in (sparse, dense):
             first = plan.conditional_cdfs(0)
             assert plan.conditional_cdfs(0) is first
-            stats = plan._cdf_cache.stats()
-            assert stats["hits"] >= 1
-            assert stats["capacity"] >= stats["size"]
+            assert set(plan._cdfs) == {0, 1}  # one entry per s queried
+            assert plan._cdfs[0] is first
 
     def test_sampling_never_builds_cdf_tables(self, rng):
         samples = {0: rng.normal(-1.0, 1.0, size=60),
@@ -64,7 +63,7 @@ class TestFeaturePlan:
                      dense_feature_plan(design_feature_plan(samples, 20))):
             plan.sample_targets(0, rng.integers(0, 20, 100),
                                 rng.random(100))
-            assert plan._cdf_cache.stats()["size"] == 0
+            assert plan._cdfs == {}
 
     def test_expected_targets_within_grid(self, feature_plan):
         targets = feature_plan.expected_targets(1)

@@ -402,7 +402,7 @@ class TestOneSamplingState:
                 held = [getattr(kernel, name)
                         for name in type(kernel).__slots__]
                 assert not any(np.ndim(value) == 2 for value in held)
-                assert feature_plan._cdf_cache.stats()["size"] == 0
+                assert feature_plan._cdfs == {}
 
 
 class TestSolverSpecs:

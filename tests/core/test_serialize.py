@@ -703,3 +703,17 @@ class TestDiagnosticsPersistence:
                     original.diagnostics[s]["converged"]
                 assert record["value"] == pytest.approx(
                     original.diagnostics[s]["value"])
+
+    def test_equal_designs_save_equal_archives(self, paper_split, tmp_path):
+        # Solver wall times used to be written into the header, so two
+        # designs of the same research set saved different bytes.
+        designs = [design_repair(paper_split.research, 50)
+                   for _ in range(2)]
+        first, second = (save_plan(plan, tmp_path / f"plan{i}.npz")
+                         for i, plan in enumerate(designs))
+        assert first.read_bytes() == second.read_bytes()
+        loaded = load_plan(first)
+        assert "ot_wall_time" not in loaded.metadata
+        for cell in loaded.feature_plans.values():
+            assert all("wall_time" not in record
+                       for record in cell.diagnostics.values())

@@ -1,8 +1,11 @@
-"""Tests for the RepairService engine (bit-identity, caching, errors)."""
+"""Tests for the RepairService engine (bit-identity, kernel reuse,
+errors)."""
 
 from __future__ import annotations
 
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -125,6 +128,54 @@ class TestBitIdentity:
             np.testing.assert_array_equal(a, b)
 
 
+class TestMergedSubgroups:
+    def test_requests_over_different_subgroups_match_lone_repairs(
+            self, designed):
+        # The shared loop walks the union of the batch's (u, s, k)
+        # cells; a request missing some of them must still consume its
+        # generator as a lone repair_dataset call does, and a bad
+        # request anywhere in the batch fails alone.
+        plan, queries = designed
+        assert len(plan.u_values) == 3
+        labels = 2 * queries.u + queries.s
+        subgroups = np.unique(labels)
+        rng = np.random.default_rng(2024)
+        for trial in range(20):
+            requests, references, cells = [], [], set()
+            for seed in range(int(rng.integers(3, 7))):
+                chosen = rng.choice(subgroups, replace=False,
+                                    size=int(rng.integers(1, 4)))
+                pool = np.flatnonzero(np.isin(labels, chosen))
+                size = 1 if seed == 1 else int(rng.integers(2, 60))
+                subset = queries.take(np.sort(rng.choice(
+                    pool, size=min(size, pool.size), replace=False)))
+                requests.append(RepairRequest(
+                    subset, np.random.default_rng(100 * trial + seed)))
+                references.append(repair_dataset(
+                    subset, plan,
+                    rng=np.random.default_rng(100 * trial + seed)).features)
+                cells |= {(u, s, k) for u, s in zip(subset.u, subset.s)
+                          for k in range(plan.n_features)}
+            bad_at = int(rng.integers(len(requests) + 1))
+            if trial % 2:
+                bad = FairnessDataset(queries.features[:5], queries.s[:5],
+                                      np.full(5, 99))
+            else:
+                bad = FairnessDataset(queries.features[:5, :1],
+                                      queries.s[:5], queries.u[:5])
+            requests.insert(bad_at, RepairRequest(bad))
+            references.insert(bad_at, None)
+            service = RepairService(plan)
+            results = service.repair_many(requests)
+            for got, reference in zip(results, references):
+                if reference is None:
+                    assert isinstance(got, ValidationError)
+                else:
+                    np.testing.assert_array_equal(
+                        got.view(np.uint64), reference.view(np.uint64))
+            assert service.stats()["cell_dispatches"] == len(cells)
+
+
 class TestFromPath:
     def test_plain_archive(self, designed, tmp_path):
         plan, queries = designed
@@ -214,16 +265,64 @@ class TestCacheBehaviour:
         assert second["misses"] == first["misses"]  # all warm now
         assert second["hits"] > first["hits"]
 
-    def test_tiny_cache_evicts_and_still_answers_identically(self,
-                                                             designed):
+
+class TestConcurrency:
+    def test_threads_on_cold_kernels_match_offline_and_count_exactly(
+            self, designed):
+        # Kernels come from the plan's own memo, which takes no lock:
+        # threads racing on a cold cell may each build its kernel, but
+        # every response must stay bitwise the offline repair, and no
+        # counter update may be lost.
         plan, queries = designed
-        roomy = RepairService(plan, cache_size=256)
-        tiny = RepairService(plan, cache_size=1)
-        a = roomy.repair(queries, rng=np.random.default_rng(5))
-        b = tiny.repair(queries, rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)
-        assert tiny.stats()["cache"]["evictions"] > 0
-        assert tiny.stats()["cache"]["size"] == 1
+        cold = RepairPlan(
+            {key: FeaturePlan(cell.grid, cell.marginals, cell.barycenter,
+                              cell.transports)
+             for key, cell in plan.feature_plans.items()},
+            plan.n_features, plan.t)
+        subsets = [queries.take(np.arange(i, len(queries), 5))
+                   for i in range(5)]
+        references = [repair_dataset(subset, plan,
+                                     rng=np.random.default_rng(i)).features
+                      for i, subset in enumerate(subsets)]
+        service = RepairService(cold)
+        n_threads, rounds, failures = 4, 12, []
+
+        def client(thread):
+            for step in range(rounds):
+                i = (thread + step) % len(subsets)
+                try:
+                    got = service.repair(subsets[i],
+                                         rng=np.random.default_rng(i))
+                except Exception as exc:  # recorded, then asserted on
+                    failures.append(exc)
+                    continue
+                if not np.array_equal(got.view(np.uint64),
+                                      references[i].view(np.uint64)):
+                    failures.append((thread, step))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(n,))
+                       for n in range(n_threads)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        stats = service.stats()
+        assert stats["requests"] == n_threads * rounds
+        lookups = sum(
+            len(set(zip(subsets[(n + step) % len(subsets)].u,
+                        subsets[(n + step) % len(subsets)].s)))
+            for n in range(n_threads) for step in range(rounds))
+        lookups *= plan.n_features
+        cache = stats["cache"]
+        assert cache["hits"] + cache["misses"] == lookups
+        assert cache["misses"] >= 6 * plan.n_features  # every cell built
 
 
 class TestValidationAndErrors:

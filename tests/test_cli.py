@@ -331,3 +331,29 @@ class TestServeFlags:
                      "--port", "0"]) == 1
         assert len(opened) == 1
         assert opened[0].fileno() == -1
+
+    def test_forked_serve_with_missing_plan_fails_before_announcing(
+            self, tmp_path, capsys):
+        # The plan used to be loaded only in the forked workers, so the
+        # address was announced, both workers died and the command
+        # exited 0.
+        code = main(["serve", "--plan", str(tmp_path / "absent.npz"),
+                     "--port", "0", "--workers", "2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "not found" in captured.err
+        assert "http://" not in captured.out
+
+    def test_forked_serve_with_zero_max_batch_fails_before_announcing(
+            self, sample_csv, tmp_path, capsys):
+        data_path, _ = sample_csv
+        plan_path = tmp_path / "plan.npz"
+        assert main(["design", str(data_path), str(plan_path),
+                     "--n-states", "16"]) == 0
+        capsys.readouterr()
+        code = main(["serve", "--plan", str(plan_path), "--port", "0",
+                     "--workers", "2", "--max-batch", "0"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "error:" in captured.err and "max_batch" in captured.err
+        assert "http://" not in captured.out

@@ -151,8 +151,8 @@ def test_architecture_doc_matches_code():
     # The serving-tier section names the real repro.serve surface.
     import repro.serve as serve_module
     assert "repro.serve" in doc
-    for name in ("RepairService", "LRUCache", "MicroBatcher",
-                 "RepairHTTPServer", "listening_socket"):
+    for name in ("RepairService", "MicroBatcher", "RepairHTTPServer",
+                 "listening_socket"):
         assert name in doc, f"architecture.md lost serve API {name}"
         assert hasattr(serve_module, name)
 
